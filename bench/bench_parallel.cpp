@@ -361,7 +361,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::vector<std::pair<std::string, double>> results;
-  std::vector<App> apps;  // App is move-only (FieldSearch engines)
+  std::vector<App> apps;
   apps.push_back(make_app(workload::FilterApp::kMacLearning, "bbra"));
   apps.push_back(make_app(workload::FilterApp::kMacLearning, "gozb"));
   apps.push_back(make_app(workload::FilterApp::kRouting, "yoza"));

@@ -4,26 +4,14 @@
 
 namespace ofmtl {
 
-void ActionTable::add(const InstructionSet& instructions) {
-  instructions_.push_back(instructions);
-  max_entry_bits_ = std::max(max_entry_bits_, instructions.bits());
-}
-
 void ActionTable::set(std::uint32_t rule_index, const InstructionSet& instructions) {
-  if (rule_index >= instructions_.size()) {
-    instructions_.resize(rule_index + 1);
-  }
-  instructions_[rule_index] = instructions;
+  slots_ = std::max<std::size_t>(slots_, std::size_t{rule_index} + 1);
   max_entry_bits_ = std::max(max_entry_bits_, instructions.bits());
-}
-
-void ActionTable::clear(std::uint32_t rule_index) {
-  instructions_.at(rule_index) = InstructionSet{};
 }
 
 mem::MemoryReport ActionTable::memory_report(const std::string& name) const {
   mem::MemoryReport report;
-  report.add(name, instructions_.size(), max_entry_bits_);
+  report.add(name, slots_, max_entry_bits_);
   return report;
 }
 

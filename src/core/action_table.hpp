@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "flow/instruction.hpp"
 #include "mem/memory_model.hpp"
@@ -14,28 +13,23 @@ namespace ofmtl {
 
 class ActionTable {
  public:
-  /// Append instructions (next sequential index).
-  void add(const InstructionSet& instructions);
-
-  /// Write instructions at an arbitrary slot (grows the table as needed) —
-  /// used by incremental entry insertion with slot reuse.
+  /// Account instructions written at a slot (grows the table as needed) —
+  /// used by entry insertion with slot reuse. A removed entry's slot stays
+  /// allocated and the word width never shrinks, as in hardware.
   void set(std::uint32_t rule_index, const InstructionSet& instructions);
 
-  /// Reset a slot to the empty instruction set (removed entry).
-  void clear(std::uint32_t rule_index);
-
-  [[nodiscard]] const InstructionSet& get(std::uint32_t rule_index) const {
-    return instructions_.at(rule_index);
-  }
-  [[nodiscard]] std::size_t size() const { return instructions_.size(); }
+  [[nodiscard]] std::size_t size() const { return slots_; }
 
   /// Fixed-width words: every entry padded to the widest instruction set.
+  /// The cost model needs only the slot count and that width, so the table
+  /// stores nothing else — the instructions themselves live in the flow
+  /// entries the index resolves to.
   [[nodiscard]] unsigned word_bits() const { return max_entry_bits_; }
   [[nodiscard]] mem::MemoryReport memory_report(const std::string& name) const;
-  [[nodiscard]] std::uint64_t update_words() const { return instructions_.size(); }
+  [[nodiscard]] std::uint64_t update_words() const { return slots_; }
 
  private:
-  std::vector<InstructionSet> instructions_;
+  std::size_t slots_ = 0;
   unsigned max_entry_bits_ = 0;
 };
 

@@ -39,6 +39,7 @@ AppSpec build_app(const FilterSet& set, TableLayout layout) {
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> labels;
   std::vector<FlowEntry> table0;
   std::vector<FlowEntry> table1;
+  table1.reserve(set.entries.size());
   for (const auto& entry : set.entries) {
     const auto& fm = entry.match.get(first);
     if (fm.kind != MatchKind::kExact) {

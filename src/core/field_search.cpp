@@ -19,7 +19,7 @@ FieldSearch::FieldSearch(FieldId field, FieldSearchConfig config)
   const auto& info = field_info(field);
   switch (info.method) {
     case MatchMethod::kExact:
-      lut_ = std::make_unique<ExactMatchLut>(info.bits);
+      lut_.emplace(info.bits);
       label_refs_.resize(1);
       break;
     case MatchMethod::kLongestPrefix: {
@@ -33,7 +33,7 @@ FieldSearch::FieldSearch(FieldId field, FieldSearchConfig config)
       break;
     }
     case MatchMethod::kRange:
-      ranges_ = std::make_unique<RangeMatcher>(info.bits);
+      ranges_.emplace(info.bits);
       label_refs_.resize(1);
       break;
   }
@@ -43,41 +43,64 @@ std::size_t FieldSearch::algorithm_count() const {
   return tries_.empty() ? 1 : tries_.size();
 }
 
+const char* FieldSearch::match_error(const FieldMatch& match) const {
+  const auto& info = field_info(field_);
+  switch (info.method) {
+    case MatchMethod::kExact:
+      if (match.kind == MatchKind::kAny || match.kind == MatchKind::kExact) {
+        return nullptr;
+      }
+      return "EM field requires exact or any match";
+    case MatchMethod::kLongestPrefix:
+      switch (match.kind) {
+        case MatchKind::kAny:
+        case MatchKind::kExact:
+          return nullptr;
+        case MatchKind::kPrefix:
+          return match.prefix.width() == info.bits
+                     ? nullptr
+                     : "prefix width mismatch for field";
+        default:
+          return "LPM field requires prefix/exact/any";
+      }
+    case MatchMethod::kRange:
+      switch (match.kind) {
+        case MatchKind::kAny:
+          return nullptr;
+        case MatchKind::kExact:
+          return match.value.hi == 0 && match.value.lo <= low_mask(info.bits)
+                     ? nullptr
+                     : "exact value outside the field";
+        case MatchKind::kRange:
+          return match.range.lo <= match.range.hi &&
+                         match.range.hi <= low_mask(info.bits)
+                     ? nullptr
+                     : "bad range";
+        default:
+          return "RM field requires range/exact/any";
+      }
+  }
+  return "unknown match method";
+}
+
 FieldSearch::RuleElements FieldSearch::decompose(const FieldMatch& match) const {
+  if (const char* error = match_error(match)) {
+    throw std::invalid_argument(std::string(field_name(field_)) + ": " + error);
+  }
   const auto& info = field_info(field_);
   RuleElements elements;
   switch (info.method) {
     case MatchMethod::kExact:
-      switch (match.kind) {
-        case MatchKind::kAny:
-          break;  // exact_value stays empty -> wildcard
-        case MatchKind::kExact:
-          elements.exact_value = match.value;
-          break;
-        default:
-          throw std::invalid_argument(
-              std::string("EM field ") + std::string(field_name(field_)) +
-              " requires exact or any match");
-      }
-      return elements;
+      if (match.kind == MatchKind::kExact) elements.exact_value = match.value;
+      return elements;  // no exact_value -> wildcard
     case MatchMethod::kLongestPrefix: {
-      Prefix prefix;
-      switch (match.kind) {
-        case MatchKind::kAny:
-          prefix = Prefix{U128{}, 0, info.bits};
-          break;
-        case MatchKind::kExact:
-          prefix = Prefix{match.value, info.bits, info.bits};
-          break;
-        case MatchKind::kPrefix:
-          if (match.prefix.width() != info.bits) {
-            throw std::invalid_argument("prefix width mismatch for field");
-          }
-          prefix = match.prefix;
-          break;
-        default:
-          throw std::invalid_argument("LPM field requires prefix/exact/any");
+      Prefix prefix = match.prefix;
+      if (match.kind == MatchKind::kAny) {
+        prefix = Prefix{U128{}, 0, info.bits};
+      } else if (match.kind == MatchKind::kExact) {
+        prefix = Prefix{match.value, info.bits, info.bits};
       }
+      elements.partitions.reserve(tries_.size());
       for (std::size_t p = 0; p < tries_.size(); ++p) {
         const unsigned plen = prefix.partition16_length(static_cast<unsigned>(p));
         elements.partitions.push_back(Prefix::from_value(
@@ -86,18 +109,12 @@ FieldSearch::RuleElements FieldSearch::decompose(const FieldMatch& match) const 
       return elements;
     }
     case MatchMethod::kRange:
-      switch (match.kind) {
-        case MatchKind::kAny:
-          elements.range = ValueRange{0, low_mask(info.bits)};
-          break;
-        case MatchKind::kExact:
-          elements.range = ValueRange{match.value.lo, match.value.lo};
-          break;
-        case MatchKind::kRange:
-          elements.range = match.range;
-          break;
-        default:
-          throw std::invalid_argument("RM field requires range/exact/any");
+      if (match.kind == MatchKind::kAny) {
+        elements.range = ValueRange{0, low_mask(info.bits)};
+      } else if (match.kind == MatchKind::kExact) {
+        elements.range = ValueRange{match.value.lo, match.value.lo};
+      } else {
+        elements.range = match.range;
       }
       return elements;
   }

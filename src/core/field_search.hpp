@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -33,16 +32,21 @@ struct FieldSearchConfig {
   TrieStorage storage = TrieStorage::kSparse;
 };
 
+/// A plain value type: every engine is held by value, so copying a
+/// FieldSearch is a deep, independent copy of its whole search state.
 class FieldSearch {
  public:
   FieldSearch(FieldId field, FieldSearchConfig config = {});
 
-  FieldSearch(FieldSearch&&) = default;
-  FieldSearch& operator=(FieldSearch&&) = default;
-
   /// Number of parallel algorithms this field contributes (1 for EM/RM,
   /// one per 16-bit partition for LPM).
   [[nodiscard]] std::size_t algorithm_count() const;
+
+  /// Why add_rule would reject `match` (a match kind this field's method
+  /// cannot store, or a value outside the field), or nullptr when it is
+  /// acceptable. Callers validate a whole entry before registering any field,
+  /// so a rejected rule leaves every structure untouched.
+  [[nodiscard]] const char* match_error(const FieldMatch& match) const;
 
   /// Register one rule's constraint on this field. Returns the rule's label
   /// per algorithm (the rule "signature slice" for this field). Wildcards
@@ -88,8 +92,12 @@ class FieldSearch {
 
   /// Access to the partition tries (LPM fields only), for the memory study.
   [[nodiscard]] const std::vector<MultibitTrie>& tries() const { return tries_; }
-  [[nodiscard]] const ExactMatchLut* lut() const { return lut_.get(); }
-  [[nodiscard]] const RangeMatcher* ranges() const { return ranges_.get(); }
+  [[nodiscard]] const ExactMatchLut* lut() const {
+    return lut_ ? &*lut_ : nullptr;
+  }
+  [[nodiscard]] const RangeMatcher* ranges() const {
+    return ranges_ ? &*ranges_ : nullptr;
+  }
 
  private:
   /// A rule's constraint decomposed into per-algorithm elements.
@@ -103,10 +111,10 @@ class FieldSearch {
   FieldId field_;
   FieldSearchConfig config_;
   // Exactly one of the three engines is populated, per the match method.
-  std::unique_ptr<ExactMatchLut> lut_;
+  std::optional<ExactMatchLut> lut_;
   std::vector<MultibitTrie> tries_;
   std::vector<ValueLabelEncoder> trie_encoders_;  // (len,value) -> label, per trie
-  std::unique_ptr<RangeMatcher> ranges_;
+  std::optional<RangeMatcher> ranges_;
   // Reserved wildcard label for EM fields; listed in candidates while its
   // reference count is nonzero.
   std::optional<Label> em_any_label_;

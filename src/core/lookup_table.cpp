@@ -20,6 +20,8 @@ LookupTable::LookupTable(std::vector<FieldId> fields,
     algorithms += searches_.back().algorithm_count();
   }
   index_.emplace(algorithms);
+  slots_.reserve(entries.size());
+  id_to_slot_.reserve(entries.size());
   for (auto& entry : entries) {
     (void)insert_entry_impl(std::move(entry), /*seal_after=*/false);
   }
@@ -40,11 +42,34 @@ std::uint32_t LookupTable::insert_entry(FlowEntry entry) {
   return insert_entry_impl(std::move(entry), /*seal_after=*/true);
 }
 
+const char* LookupTable::match_error(const FlowMatch& match) const {
+  for (std::size_t i = 0; i < kFieldCount; ++i) {
+    const auto id = static_cast<FieldId>(i);
+    if (!match.constrains(id)) continue;
+    const auto field = std::find(fields_.begin(), fields_.end(), id);
+    if (field == fields_.end()) {
+      return "constraint on a field outside the table's field list";
+    }
+    if (const char* error =
+            searches_[static_cast<std::size_t>(field - fields_.begin())]
+                .match_error(match.get(id))) {
+      return error;
+    }
+  }
+  return nullptr;
+}
+
 std::uint32_t LookupTable::insert_entry_impl(FlowEntry entry, bool seal_after) {
+  // Validate everything before touching any structure, so a rejected entry
+  // leaves no unique value, index pair or slot behind.
   if (id_to_slot_.contains(entry.id)) {
     throw std::invalid_argument("insert_entry: duplicate entry id");
   }
+  if (const char* error = match_error(entry.match)) {
+    throw std::invalid_argument(std::string("insert_entry: ") + error);
+  }
   std::vector<Label> signature;
+  signature.reserve(index_->algorithm_count());
   for (std::size_t f = 0; f < fields_.size(); ++f) {
     const auto labels = searches_[f].add_rule(entry.match.get(fields_[f]));
     signature.insert(signature.end(), labels.begin(), labels.end());
@@ -60,7 +85,6 @@ std::uint32_t LookupTable::insert_entry_impl(FlowEntry entry, bool seal_after) {
   index_->add_rule(signature, slot);
   actions_.set(slot, entry.instructions);
   id_to_slot_.emplace(entry.id, slot);
-  slots_[slot].signature = std::move(signature);
   slots_[slot].seq = next_seq_++;
   slots_[slot].entry = std::move(entry);
   ++live_entries_;
@@ -79,37 +103,22 @@ bool LookupTable::remove_entry(FlowEntryId id) {
   if (it == id_to_slot_.end()) return false;
   const std::uint32_t slot = it->second;
   Slot& s = slots_[slot];
+  // The labels remove_rule hands back, concatenated in field order, are the
+  // signature add_rule produced for this entry.
+  std::vector<Label> signature;
+  signature.reserve(index_->algorithm_count());
   for (std::size_t f = 0; f < fields_.size(); ++f) {
-    (void)searches_[f].remove_rule(s.entry->match.get(fields_[f]));
+    const auto labels = searches_[f].remove_rule(s.entry->match.get(fields_[f]));
+    signature.insert(signature.end(), labels.begin(), labels.end());
   }
-  index_->remove_rule(s.signature, slot);
-  actions_.clear(slot);
+  index_->remove_rule(signature, slot);
   id_to_slot_.erase(it);
   s.entry.reset();
-  s.signature.clear();
   free_slots_.push_back(slot);
   --live_entries_;
   for (auto& search : searches_) search.seal();
   index_->seal();
   return true;
-}
-
-LookupTable LookupTable::clone() const {
-  // entries() walks slots in slot order, which diverges from insertion order
-  // once free slots are reused — and insertion order (seq) drives
-  // equal-priority tie-breaks. Replay in seq order so the clone tie-breaks
-  // exactly like the original.
-  std::vector<const Slot*> live;
-  live.reserve(live_entries_);
-  for (const auto& slot : slots_) {
-    if (slot.entry) live.push_back(&slot);
-  }
-  std::sort(live.begin(), live.end(),
-            [](const Slot* a, const Slot* b) { return a->seq < b->seq; });
-  std::vector<FlowEntry> ordered;
-  ordered.reserve(live.size());
-  for (const Slot* slot : live) ordered.push_back(*slot->entry);
-  return LookupTable(fields_, std::move(ordered), config_);
 }
 
 std::vector<FlowEntry> LookupTable::entries() const {

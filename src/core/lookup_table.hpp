@@ -36,10 +36,15 @@ class LookupTable {
   [[nodiscard]] static LookupTable compile(const FlowTable& table,
                                            FieldSearchConfig config = {});
 
-  /// Add one entry to the live table; returns its slot. The entry id must
-  /// not already be present. Fields outside the table's field list must be
-  /// unconstrained.
+  /// Add one entry to the live table; returns its slot. Throws
+  /// std::invalid_argument, leaving the table unchanged, when the id is
+  /// already present or match_error() rejects the entry's match.
   std::uint32_t insert_entry(FlowEntry entry);
+
+  /// Why insert_entry would reject `match` — a constraint on a field outside
+  /// the table's field list, or a match kind that field's method cannot
+  /// store — or nullptr when every constraint is acceptable.
+  [[nodiscard]] const char* match_error(const FlowMatch& match) const;
 
   /// Remove the entry with this id; returns whether it existed. Unique
   /// values drop out of the structures when their last entry leaves.
@@ -50,12 +55,11 @@ class LookupTable {
     return id_to_slot_.contains(id);
   }
 
-  /// Deep copy: recompiles an independent table from the live entries with
-  /// the same field order and config (FieldSearch engines are move-only, so
-  /// replication goes through the builder). Entries are replayed in
-  /// insertion order so equal-priority tie-breaks match the original; slot
-  /// numbering may differ, lookup results do not.
-  [[nodiscard]] LookupTable clone() const;
+  /// Deep copy: every structure is held by value, so this is one memberwise
+  /// copy — slot numbers and insertion sequence numbers carry over, and the
+  /// clone's lookups, memory report and update words equal the original's.
+  /// The copy is independent: mutating either side never affects the other.
+  [[nodiscard]] LookupTable clone() const { return *this; }
 
   /// Highest-priority matching entry, or nullptr on miss (-> controller).
   /// Equal priorities tie-break to the earlier-inserted entry, matching
@@ -96,7 +100,6 @@ class LookupTable {
 
   struct Slot {
     std::optional<FlowEntry> entry;
-    std::vector<Label> signature;
     std::uint64_t seq = 0;  // insertion order, for stable tie-breaks
   };
 

@@ -28,17 +28,13 @@ class MultiTableLookup : public TableLookupSource {
 
   void add_table(LookupTable table) { tables_.push_back(std::move(table)); }
 
-  /// Deep copy (table-by-table recompile): independent lookup structures,
-  /// identical lookup behaviour. The parallel runtime replicates its
-  /// snapshot instances through this. Exception: the group table is
-  /// externally owned and only pointer-copied — it is NOT snapshot-isolated,
-  /// so keep it immutable while clones (or the runtime) are live.
-  [[nodiscard]] MultiTableLookup clone() const {
-    MultiTableLookup copy;
-    for (const auto& table : tables_) copy.add_table(table.clone());
-    copy.set_group_table(groups_);
-    return copy;
-  }
+  /// Deep copy (one memberwise copy of every table, see LookupTable::clone):
+  /// independent lookup structures, identical lookup behaviour. The
+  /// left-right snapshot builds its second side through this. Exception: the
+  /// group table is externally owned and only pointer-copied — it is NOT
+  /// snapshot-isolated, so keep it immutable while clones (or the runtime)
+  /// are live.
+  [[nodiscard]] MultiTableLookup clone() const { return *this; }
   [[nodiscard]] std::size_t table_count() const { return tables_.size(); }
   [[nodiscard]] const LookupTable& table(std::size_t index) const {
     return tables_.at(index);

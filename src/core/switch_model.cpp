@@ -1,6 +1,7 @@
 #include "core/switch_model.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace ofmtl {
 
@@ -39,7 +40,12 @@ void SwitchModel::apply(const FlowMod& mod, std::uint64_t now) {
     }
     case FlowModCommand::kModify: {
       // Modify = delete + add, preserving counters (OpenFlow keeps counters
-      // on modify unless a reset flag is set; we keep them).
+      // on modify unless a reset flag is set; we keep them). A replacement
+      // the table cannot store is refused before the delete.
+      if (const char* error =
+              pipeline_.table(mod.table).match_error(mod.entry.match)) {
+        throw std::invalid_argument(std::string("flow-mod: ") + error);
+      }
       if (!pipeline_.remove_entry(mod.table, mod.entry.id)) {
         throw std::invalid_argument("flow-mod: modify of unknown entry");
       }

@@ -1,6 +1,7 @@
 #include "flow/flow_table.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace ofmtl {
 
@@ -15,11 +16,17 @@ void FlowTable::insert(FlowEntry entry) {
 }
 
 void FlowTable::replace(std::vector<FlowEntry> entries) {
-  entries_ = std::move(entries);
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [](const FlowEntry& a, const FlowEntry& b) {
-                     return a.priority > b.priority;
+  // Sort an index permutation, then move each (large) entry exactly once,
+  // instead of letting stable_sort merge-move whole entries log(n) times.
+  std::vector<std::uint32_t> order(entries.size());
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&entries](std::uint32_t a, std::uint32_t b) {
+                     return entries[a].priority > entries[b].priority;
                    });
+  entries_.clear();
+  entries_.reserve(entries.size());
+  for (const auto i : order) entries_.push_back(std::move(entries[i]));
 }
 
 bool FlowTable::remove(FlowEntryId id) {

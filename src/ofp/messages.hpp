@@ -68,6 +68,7 @@ enum class ErrorCode : std::uint16_t {
   kStale = 10,          ///< generation_id older than the fenced maximum
   kIsSlave = 11,        ///< state-mutating request from a slave session
   kOverload = 12,       ///< shed under pressure; data carries a backoff hint
+  kBadMatch = 13,       ///< match the target table cannot store
 };
 
 /// Error reply carrying the failure class plus (a prefix of) the offending

@@ -13,6 +13,13 @@ void apply_mods(MultiTableLookup& tables, std::span<const PendingFlowMod> mods,
       results[i] = ErrorCode::kBadValue;
       continue;
     }
+    // A match the table cannot store is rejected before anything mutates
+    // (a modify must not delete the entry it cannot replace).
+    if (mod.command != FlowModCommand::kDelete &&
+        tables.table(table).match_error(mod.entry.match) != nullptr) {
+      results[i] = ErrorCode::kBadMatch;
+      continue;
+    }
     switch (mod.command) {
       case FlowModCommand::kAdd:
         if (tables.contains_entry(table, mod.entry.id)) {

@@ -309,9 +309,10 @@ void Session::flush_mods(std::uint64_t now_ms) {
       continue;
     }
     counters_.flow_mods_failed++;
-    queue_output(encode_error(mods_[i].xid, ErrorType::kFlowModFailed,
-                              mod_results_[i]),
-                 now_ms);
+    const ErrorType type = mod_results_[i] == ErrorCode::kBadMatch
+                               ? ErrorType::kBadMatch
+                               : ErrorType::kFlowModFailed;
+    queue_output(encode_error(mods_[i].xid, type, mod_results_[i]), now_ms);
     if (state_ != State::kSteady) break;  // backpressure drain kicked in
   }
   mods_.clear();

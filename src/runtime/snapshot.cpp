@@ -9,9 +9,9 @@ namespace ofmtl::runtime {
 SnapshotClassifier::SnapshotClassifier(MultiTableLookup initial)
     : sides_{MultiTableLookup{}, MultiTableLookup{}} {
   sides_[0] = std::move(initial);
-  // clone() replays entries in insertion order, so both sides tie-break
-  // equal priorities identically; from here on the sides only ever receive
-  // the same op sequence and stay behaviourally identical.
+  // clone() is a memberwise copy — same slots, same insertion sequence — so
+  // both sides tie-break equal priorities identically; from here on the
+  // sides only ever receive the same op sequence and stay identical.
   sides_[1] = sides_[0].clone();
 }
 

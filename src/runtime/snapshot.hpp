@@ -40,7 +40,8 @@ namespace ofmtl::runtime {
 class SnapshotClassifier {
  public:
   /// Builds the two sides: one by moving `initial` in, the other as its
-  /// clone — the only O(table) cost in the classifier's lifetime.
+  /// clone (a plain copy of the compiled structures) — the only O(table)
+  /// cost in the classifier's lifetime.
   explicit SnapshotClassifier(MultiTableLookup initial);
 
   SnapshotClassifier(const SnapshotClassifier&) = delete;
@@ -124,8 +125,8 @@ class SnapshotClassifier {
   bool publish(Op&& op);
   /// Spin until the given indicator has no registered readers.
   void wait_for_readers(std::size_t indicator) const;
-  /// Exception recovery: rebuild side `side` from the other side's content
-  /// so the pair cannot diverge. O(table), exceptional path only.
+  /// Exception recovery: overwrite side `side` with a copy of the other
+  /// side so the pair cannot diverge. O(table), exceptional path only.
   void resync_side(std::size_t side);
 
   mutable std::mutex write_mutex_;  // serializes writers

@@ -3,6 +3,9 @@
 // the flow-stats tracker in isolation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "flow/flow_stats.hpp"
 #include "flow/flow_table.hpp"
 #include "flow/instruction.hpp"
@@ -93,6 +96,28 @@ TEST(FlowTableOrdering, ReplaceSortsByPriority) {
   EXPECT_EQ(table.entries()[0].id, 2U);
   EXPECT_EQ(table.entries()[1].id, 3U);
   EXPECT_EQ(table.entries()[2].id, 1U);
+}
+
+TEST(FlowTableOrdering, ReplaceIsStableOverManyEntries) {
+  // Few distinct priorities over many entries: long equal-priority runs,
+  // whose relative (input) order replace must keep.
+  constexpr std::uint16_t kPriorities[] = {1, 2, 3, 7, 7, 9};
+  std::mt19937 rng(17);
+  std::vector<FlowEntry> entries;
+  for (FlowEntryId id = 0; id < 12'000; ++id) {
+    entries.push_back(entry_with_priority(
+        id, kPriorities[rng() % std::size(kPriorities)]));
+  }
+  std::shuffle(entries.begin(), entries.end(), rng);
+
+  auto expected = entries;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const FlowEntry& a, const FlowEntry& b) {
+                     return a.priority > b.priority;
+                   });
+  FlowTable table;
+  table.replace(entries);
+  EXPECT_EQ(table.entries(), expected);
 }
 
 TEST(Instructions, ToStringAndBits) {

@@ -2,6 +2,8 @@
 // linear-search FlowTable on every packet, across match-method mixes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/lookup_table.hpp"
 #include "flow/flow_table.hpp"
 #include "workload/acl_synth.hpp"
@@ -194,6 +196,219 @@ TEST(LookupTable, MemoryReportCoversAllStages) {
   EXPECT_TRUE(has_lut);
   EXPECT_TRUE(has_index);
   EXPECT_TRUE(has_actions);
+}
+
+// ---- validate-first insertion ----
+
+/// Everything a rejected insert must leave untouched.
+struct TableState {
+  std::size_t entries;
+  std::vector<std::vector<std::size_t>> unique_values;
+  std::uint64_t memory_bits;
+  std::uint64_t update_words;
+
+  explicit TableState(const LookupTable& table)
+      : entries(table.entry_count()),
+        memory_bits(table.memory_report("t").total_bits()),
+        update_words(table.update_words()) {
+    for (const auto& search : table.field_searches()) {
+      unique_values.push_back(search.unique_values());
+    }
+  }
+  friend bool operator==(const TableState&, const TableState&) = default;
+};
+
+TEST(LookupTable, InsertRejectsConstraintOutsideFieldList) {
+  FlowMatch vlan;
+  vlan.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{5}));
+  FlowMatch vlan_and_mac = vlan;
+  vlan_and_mac.set(FieldId::kEthDst, FieldMatch::exact(std::uint64_t{0xABC}));
+
+  LookupTable table({FieldId::kVlanId}, {make_entry(0, 1, vlan, 1)});
+  const TableState before(table);
+  EXPECT_THROW((void)table.insert_entry(make_entry(1, 9, vlan_and_mac, 2)),
+               std::invalid_argument);
+  EXPECT_EQ(TableState(table), before);
+  EXPECT_FALSE(table.contains(1));
+
+  // The reference table honours the eth_dst constraint; so must the
+  // accelerated one — by refusing an entry it could not enforce, instead of
+  // silently matching every eth_dst.
+  FlowTable reference({make_entry(0, 1, vlan, 1), make_entry(1, 9, vlan_and_mac, 2)});
+  PacketHeader h;
+  h.set_vlan_id(5);
+  ASSERT_NE(reference.lookup(h), nullptr);
+  EXPECT_EQ(reference.lookup(h)->id, 0U);
+  ASSERT_NE(table.lookup(h), nullptr);
+  EXPECT_EQ(table.lookup(h)->id, 0U);
+
+  EXPECT_THROW(LookupTable({FieldId::kVlanId}, {make_entry(1, 9, vlan_and_mac, 2)}),
+               std::invalid_argument);
+}
+
+TEST(LookupTable, RejectedInsertLeavesNoPartialRegistration) {
+  FlowMatch valid;
+  valid.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{1}));
+  valid.set(FieldId::kIpProto, FieldMatch::exact(std::uint64_t{6}));
+  LookupTable table({FieldId::kVlanId, FieldId::kIpProto},
+                    {make_entry(0, 1, valid, 1)});
+  const TableState before(table);
+
+  // The first field (a fresh VLAN value) is legal; the second is a prefix on
+  // the EM ip_proto field. Nothing of the entry may stay registered.
+  FlowMatch bad;
+  bad.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{2}));
+  bad.set(FieldId::kIpProto,
+          FieldMatch::of_prefix(Prefix::from_value(0x10, 4, 8)));
+  EXPECT_NE(table.match_error(bad), nullptr);
+  EXPECT_THROW((void)table.insert_entry(make_entry(1, 1, bad, 2)),
+               std::invalid_argument);
+  EXPECT_EQ(TableState(table), before);
+  EXPECT_EQ(table.field_searches()[0].unique_values(),
+            (std::vector<std::size_t>{1}));
+
+  // The id was not consumed either: a legal entry with it still inserts.
+  FlowMatch fixed = bad;
+  fixed.set(FieldId::kIpProto, FieldMatch::exact(std::uint64_t{17}));
+  EXPECT_EQ(table.match_error(fixed), nullptr);
+  (void)table.insert_entry(make_entry(1, 1, fixed, 2));
+  PacketHeader h;
+  h.set_vlan_id(2);
+  h.set_ip_proto(17);
+  ASSERT_NE(table.lookup(h), nullptr);
+  EXPECT_EQ(table.lookup(h)->id, 1U);
+}
+
+// ---- structural clone ----
+
+/// A 5-field ACL table (EM ip_proto, LPM addresses, RM ports) with churn
+/// behind it: some entries removed and new ones inserted into the freed
+/// slots, so slot order and insertion order differ.
+struct ChurnedAcl {
+  FilterSet set;
+  LookupTable table;
+  std::vector<PacketHeader> trace;
+};
+
+ChurnedAcl churned_acl() {
+  const auto set = generate_acl({.rules = 600, .seed = 91});
+  auto table = LookupTable::compile(FlowTable(set.entries));
+  EXPECT_EQ(table.fields().size(), 5U);
+  for (std::size_t i = 0; i < set.entries.size(); i += 7) {
+    EXPECT_TRUE(table.remove_entry(set.entries[i].id));
+  }
+  FlowEntryId next_id = 100'000;
+  for (std::size_t i = 3; i < set.entries.size(); i += 11) {
+    FlowEntry copy = set.entries[i];
+    copy.id = next_id++;
+    (void)table.insert_entry(std::move(copy));  // equal-priority duplicate
+  }
+  auto trace = generate_trace(set, {.packets = 3000, .hit_ratio = 0.9, .seed = 5});
+  return {set, std::move(table), std::move(trace)};
+}
+
+std::vector<const FlowEntry*> scalar_results(const LookupTable& table,
+                                             const std::vector<PacketHeader>& trace) {
+  std::vector<const FlowEntry*> out;
+  out.reserve(trace.size());
+  for (const auto& header : trace) out.push_back(table.lookup(header));
+  return out;
+}
+
+std::vector<const FlowEntry*> batch_results(const LookupTable& table,
+                                            const std::vector<PacketHeader>& trace) {
+  constexpr std::size_t kBatch = 64;
+  SearchContext ctx;
+  std::vector<const FlowEntry*> out(trace.size());
+  std::vector<const PacketHeader*> headers;
+  for (std::size_t base = 0; base < trace.size(); base += kBatch) {
+    const std::size_t n = std::min(kBatch, trace.size() - base);
+    headers.clear();
+    for (std::size_t i = 0; i < n; ++i) headers.push_back(&trace[base + i]);
+    table.lookup_batch(headers, std::span(out).subspan(base, n), ctx);
+  }
+  return out;
+}
+
+/// Same decision on every packet: both miss, or both hit equal entries.
+void expect_same_results(const std::vector<const FlowEntry*>& a,
+                         const std::vector<const FlowEntry*>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i] == nullptr, b[i] == nullptr) << "packet " << i;
+    if (a[i] != nullptr) EXPECT_EQ(*a[i], *b[i]) << "packet " << i;
+  }
+}
+
+TEST(LookupTableClone, MatchesOriginalBitForBit) {
+  const auto acl = churned_acl();
+  const LookupTable copy = acl.table.clone();
+
+  const auto original = scalar_results(acl.table, acl.trace);
+  const auto cloned = scalar_results(copy, acl.trace);
+  expect_same_results(original, cloned);
+  expect_same_results(original, batch_results(copy, acl.trace));
+  expect_same_results(original, batch_results(acl.table, acl.trace));
+
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    if (original[i] == nullptr) continue;
+    ++hits;
+    EXPECT_NE(original[i], cloned[i]);  // the clone owns its own entries
+  }
+  EXPECT_GT(hits, acl.trace.size() / 2);
+
+  EXPECT_EQ(copy.entry_count(), acl.table.entry_count());
+  EXPECT_EQ(copy.entries(), acl.table.entries());  // same slots, same order
+  EXPECT_EQ(copy.memory_report("t").total_kbits(),
+            acl.table.memory_report("t").total_kbits());
+  EXPECT_EQ(copy.update_words(), acl.table.update_words());
+}
+
+TEST(LookupTableClone, MutatingTheCloneLeavesTheOriginalUntouched) {
+  const auto acl = churned_acl();
+  const auto results_before = scalar_results(acl.table, acl.trace);
+  const TableState state_before(acl.table);
+  const auto kbits_before = acl.table.memory_report("t").total_kbits();
+
+  LookupTable copy = acl.table.clone();
+  const auto& fields = copy.fields();
+  const auto dst_port = static_cast<std::size_t>(
+      std::find(fields.begin(), fields.end(), FieldId::kDstPort) -
+      fields.begin());
+  ASSERT_LT(dst_port, fields.size());
+
+  // A catch-all entry on a range no other rule uses, above every priority.
+  const ValueRange fresh{40'001, 40'013};
+  ASSERT_FALSE(copy.field_searches()[dst_port].ranges()->find(fresh));
+  FlowMatch match;
+  match.set(FieldId::kDstPort, FieldMatch::of_range(fresh.lo, fresh.hi));
+  FlowEntry catch_all = make_entry(200'000, 0xFFFF, match, 7);
+  (void)copy.insert_entry(catch_all);
+  for (std::size_t i = 1; i < acl.set.entries.size(); i += 5) {
+    (void)copy.remove_entry(acl.set.entries[i].id);
+  }
+  PacketHeader probe;
+  probe.set_dst_port(40'005);
+  ASSERT_NE(copy.lookup(probe), nullptr);
+  EXPECT_EQ(copy.lookup(probe)->id, 200'000U);
+  const FlowEntry* original_hit = acl.table.lookup(probe);
+  EXPECT_TRUE(original_hit == nullptr || original_hit->id != 200'000U);
+
+  // The original sees none of it: not the insert, not the removals.
+  expect_same_results(results_before, scalar_results(acl.table, acl.trace));
+  expect_same_results(results_before, batch_results(acl.table, acl.trace));
+  EXPECT_EQ(TableState(acl.table), state_before);
+
+  // Removing the range's last rule drops it from the clone's matcher and
+  // rebuilds the clone's interval index — again without touching the
+  // original's.
+  ASSERT_TRUE(copy.remove_entry(catch_all.id));
+  EXPECT_FALSE(copy.field_searches()[dst_port].ranges()->find(fresh));
+  expect_same_results(results_before, scalar_results(acl.table, acl.trace));
+  expect_same_results(results_before, batch_results(acl.table, acl.trace));
+  EXPECT_EQ(TableState(acl.table), state_before);
+  EXPECT_EQ(acl.table.memory_report("t").total_kbits(), kbits_before);
 }
 
 }  // namespace

@@ -453,6 +453,68 @@ TEST(FlowModSinks, ApplyModsValidatesPerMod) {
   EXPECT_FALSE(tables.contains_entry(0, 10));
 }
 
+TEST(FlowModSinks, UnstorableMatchAnswersBadMatchWithoutMutating) {
+  auto tables = one_table();  // matches on eth_dst only
+  auto outside = pending(1, 20);
+  outside.mod.entry.match.set(FieldId::kIpProto,
+                              FieldMatch::exact(std::uint64_t{6}));
+  auto wrong_kind = pending(2, 21);
+  wrong_kind.mod.entry.match.set(FieldId::kEthDst, FieldMatch::of_range(1, 9));
+  auto modify = pending(4, 10, FlowModCommand::kModify);
+  modify.mod.entry.match = outside.mod.entry.match;
+  const std::vector<PendingFlowMod> mods = {outside, wrong_kind,
+                                            pending(3, 10), modify};
+  std::vector<ErrorCode> results(mods.size(), ErrorCode::kNone);
+  apply_mods(tables, mods, results);
+  EXPECT_EQ(results, (std::vector<ErrorCode>{ErrorCode::kBadMatch,
+                                             ErrorCode::kBadMatch,
+                                             ErrorCode::kNone,
+                                             ErrorCode::kBadMatch}));
+  EXPECT_FALSE(tables.contains_entry(0, 20));
+  EXPECT_FALSE(tables.contains_entry(0, 21));
+  EXPECT_TRUE(tables.contains_entry(0, 10));  // the rejected modify kept it
+  // Nothing of the rejected mods stayed registered: the structures equal
+  // those of a table that only ever saw the accepted add.
+  auto reference = one_table();
+  reference.insert_entry(0, pending(3, 10).mod.entry);
+  EXPECT_EQ(tables.table(0).field_searches()[0].unique_values(),
+            reference.table(0).field_searches()[0].unique_values());
+  EXPECT_EQ(tables.update_words(), reference.update_words());
+}
+
+TEST(FlowModSinks, ClassifierSinkRejectsBadMatchWithoutResync) {
+  runtime::SnapshotClassifier classifier(one_table());
+  auto sink = make_classifier_sink(classifier);
+  auto bad = pending(2, 11);
+  bad.mod.entry.match.set(FieldId::kIpProto, FieldMatch::exact(std::uint64_t{6}));
+  const std::vector<PendingFlowMod> mods = {pending(1, 10), bad};
+  std::vector<ErrorCode> results(mods.size(), ErrorCode::kNone);
+  sink(mods, results);
+  EXPECT_EQ(results, (std::vector<ErrorCode>{ErrorCode::kNone,
+                                             ErrorCode::kBadMatch}));
+  const auto guard = classifier.acquire();
+  EXPECT_TRUE(guard.tables().contains_entry(0, 10));
+  EXPECT_FALSE(guard.tables().contains_entry(0, 11));
+}
+
+TEST(Session, BadMatchEarnsBadMatchError) {
+  runtime::SnapshotClassifier classifier(one_table());
+  auto session = steady_session(make_classifier_sink(classifier));
+  FlowModMsg mod;
+  mod.command = FlowModCommand::kAdd;
+  mod.entry.id = 7;
+  mod.entry.match.set(FieldId::kIpProto, FieldMatch::exact(std::uint64_t{6}));
+  session.on_bytes(encode({40, mod}), 1);
+
+  const auto out = drain_frames(session);
+  ASSERT_EQ(out.size(), 1U);
+  EXPECT_EQ(out[0].xid, 40U);
+  const auto& error = std::get<ErrorMsg>(out[0].message);
+  EXPECT_EQ(error.type, ErrorType::kBadMatch);
+  EXPECT_EQ(error.code, ErrorCode::kBadMatch);
+  EXPECT_EQ(session.counters().flow_mods_failed, 1U);
+}
+
 TEST(FlowModSinks, ClassifierSinkPublishesOncePerBatch) {
   runtime::SnapshotClassifier classifier(one_table());
   auto sink = make_classifier_sink(classifier);

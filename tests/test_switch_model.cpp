@@ -116,6 +116,20 @@ TEST(SwitchModel, MalformedModsThrow) {
   sw.apply(add_mod(0, 7, 1, vlan_match(1), 1));
   EXPECT_THROW(sw.apply(add_mod(0, 7, 1, vlan_match(2), 1)),
                std::invalid_argument);
+
+  // A match the table cannot store (eth_dst is outside its field list) is
+  // refused whole: an add installs nothing, a modify keeps the old entry.
+  FlowMatch unstorable = vlan_match(1);
+  unstorable.set(FieldId::kEthDst, FieldMatch::exact(std::uint64_t{3}));
+  EXPECT_THROW(sw.apply(add_mod(0, 8, 1, unstorable, 1)), std::invalid_argument);
+  FlowMod modify = add_mod(0, 7, 1, unstorable, 1);
+  modify.command = FlowModCommand::kModify;
+  EXPECT_THROW(sw.apply(modify), std::invalid_argument);
+  EXPECT_EQ(sw.entry_count(), 1U);
+  PacketHeader h;
+  h.set_vlan_id(1);
+  EXPECT_EQ(sw.process(h, 64, 1).matched_entries,
+            (std::vector<FlowEntryId>{7}));
 }
 
 TEST(SwitchModel, MultiTableGotoWithLiveMods) {
