@@ -232,7 +232,10 @@ TEST(FlowCacheRuntime, ChurnNeverMixesEpochsWithCacheOn) {
   // Every completed batch must be wholly consistent with the oracle of the
   // epoch its ticket reports — a stale cached action would show up as a
   // mixed batch. TSan-clean by construction (per-worker cache, guard-
-  // ordered epochs).
+  // ordered epochs). The writer publishes only after two more rounds have
+  // completed, so every epoch serves repeated flows from a warm cache
+  // however fast a publish is; the next round's batches are already being
+  // submitted when it publishes, so publishes still race in-flight work.
   auto app = make_app(FilterApp::kMacLearning, "bbra", 64, 17);
   const auto stream = make_stream(app, 1.1, 256, 18);
 
@@ -259,8 +262,14 @@ TEST(FlowCacheRuntime, ChurnNeverMixesEpochsWithCacheOn) {
   ParallelRuntime rt(std::move(app.accelerated),
                      {.workers = kWorkers, .flow_cache_capacity = 256});
 
-  std::thread writer([&rt, &takeover] {
+  std::atomic<std::size_t> rounds_done{0};
+  std::thread writer([&rt, &takeover, &rounds_done] {
+    std::size_t published_at = 0;
     for (std::size_t toggle = 0; toggle < kToggles; ++toggle) {
+      while (rounds_done.load(std::memory_order_acquire) < published_at + 2) {
+        std::this_thread::yield();
+      }
+      published_at = rounds_done.load(std::memory_order_acquire);
       if (toggle % 2 == 0) {
         rt.insert_entry(1, takeover);
       } else {
@@ -291,6 +300,7 @@ TEST(FlowCacheRuntime, ChurnNeverMixesEpochsWithCacheOn) {
       }
     }
     ++rounds;
+    rounds_done.store(rounds, std::memory_order_release);
   }
   writer.join();
   EXPECT_EQ(mixed, 0u) << "a cached result leaked across a publish";
