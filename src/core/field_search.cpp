@@ -47,10 +47,15 @@ const char* FieldSearch::match_error(const FieldMatch& match) const {
   const auto& info = field_info(field_);
   switch (info.method) {
     case MatchMethod::kExact:
-      if (match.kind == MatchKind::kAny || match.kind == MatchKind::kExact) {
-        return nullptr;
+      switch (match.kind) {
+        case MatchKind::kAny:
+          return nullptr;
+        case MatchKind::kExact:
+          return fits_field(field_, match.value) ? nullptr
+                                                 : "exact value outside the field";
+        default:
+          return "EM field requires exact or any match";
       }
-      return "EM field requires exact or any match";
     case MatchMethod::kLongestPrefix:
       switch (match.kind) {
         case MatchKind::kAny:
@@ -68,9 +73,8 @@ const char* FieldSearch::match_error(const FieldMatch& match) const {
         case MatchKind::kAny:
           return nullptr;
         case MatchKind::kExact:
-          return match.value.hi == 0 && match.value.lo <= low_mask(info.bits)
-                     ? nullptr
-                     : "exact value outside the field";
+          return fits_field(field_, match.value) ? nullptr
+                                                 : "exact value outside the field";
         case MatchKind::kRange:
           return match.range.lo <= match.range.hi &&
                          match.range.hi <= low_mask(info.bits)

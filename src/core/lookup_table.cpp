@@ -68,6 +68,9 @@ std::uint32_t LookupTable::insert_entry_impl(FlowEntry entry, bool seal_after) {
   if (const char* error = match_error(entry.match)) {
     throw std::invalid_argument(std::string("insert_entry: ") + error);
   }
+  if (!entry.instructions.set_fields_fit()) {
+    throw std::invalid_argument("insert_entry: Set-Field value wider than its field");
+  }
   std::vector<Label> signature;
   signature.reserve(index_->algorithm_count());
   for (std::size_t f = 0; f < fields_.size(); ++f) {

@@ -38,7 +38,8 @@ class LookupTable {
 
   /// Add one entry to the live table; returns its slot. Throws
   /// std::invalid_argument, leaving the table unchanged, when the id is
-  /// already present or match_error() rejects the entry's match.
+  /// already present, match_error() rejects the entry's match, or a
+  /// Set-Field value does not fit its field (InstructionSet::set_fields_fit).
   std::uint32_t insert_entry(FlowEntry entry);
 
   /// Why insert_entry would reject `match` — a constraint on a field outside

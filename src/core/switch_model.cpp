@@ -46,6 +46,9 @@ void SwitchModel::apply(const FlowMod& mod, std::uint64_t now) {
               pipeline_.table(mod.table).match_error(mod.entry.match)) {
         throw std::invalid_argument(std::string("flow-mod: ") + error);
       }
+      if (!mod.entry.instructions.set_fields_fit()) {
+        throw std::invalid_argument("flow-mod: Set-Field value wider than its field");
+      }
       if (!pipeline_.remove_entry(mod.table, mod.entry.id)) {
         throw std::invalid_argument("flow-mod: modify of unknown entry");
       }

@@ -17,13 +17,17 @@ void FlowTable::insert(FlowEntry entry) {
 
 void FlowTable::replace(std::vector<FlowEntry> entries) {
   // Sort an index permutation, then move each (large) entry exactly once,
-  // instead of letting stable_sort merge-move whole entries log(n) times.
+  // instead of letting a sort merge-move whole entries log(n) times. The
+  // index tie-break keeps equal priorities in input order: stable_sort's
+  // order without its temporary buffer, which comes from the nothrow
+  // operator new that allocation-counting test harnesses leave unreplaced.
   std::vector<std::uint32_t> order(entries.size());
   std::iota(order.begin(), order.end(), std::uint32_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&entries](std::uint32_t a, std::uint32_t b) {
-                     return entries[a].priority > entries[b].priority;
-                   });
+  std::sort(order.begin(), order.end(),
+            [&entries](std::uint32_t a, std::uint32_t b) {
+              const auto pa = entries[a].priority, pb = entries[b].priority;
+              return pa != pb ? pa > pb : a < b;
+            });
   entries_.clear();
   entries_.reserve(entries.size());
   for (const auto i : order) entries_.push_back(std::move(entries[i]));

@@ -1,8 +1,18 @@
 #include "flow/instruction.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace ofmtl {
+
+bool InstructionSet::set_fields_fit() const {
+  const auto fits = [](const Action& action) {
+    const auto* set = std::get_if<SetFieldAction>(&action);
+    return set == nullptr || fits_field(set->field, set->value);
+  };
+  return std::all_of(write_actions.begin(), write_actions.end(), fits) &&
+         std::all_of(apply_actions.begin(), apply_actions.end(), fits);
+}
 
 std::string InstructionSet::to_string() const {
   std::ostringstream out;

@@ -32,6 +32,10 @@ struct InstructionSet {
 
   [[nodiscard]] std::string to_string() const;
 
+  /// Whether every Set-Field value (apply and write actions) fits its
+  /// field's width — what a table requires before storing the entry.
+  [[nodiscard]] bool set_fields_fit() const;
+
   /// Encoded size in bits for the action-table memory model: presence flags,
   /// 8-bit next-table id, 128-bit metadata write, and the actions themselves.
   [[nodiscard]] unsigned bits() const;

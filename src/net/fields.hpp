@@ -68,6 +68,12 @@ struct FieldInfo {
   return field_info(id).name;
 }
 
+/// Whether `value` fits in the field's width: no bit set at or above
+/// field_bits(id).
+[[nodiscard]] inline bool fits_field(FieldId id, const U128& value) {
+  return (value >> field_bits(id)) == U128{};
+}
+
 /// Number of 16-bit partitions a wide LPM field decomposes into (paper
 /// Section V.A: Ethernet = 3 tries, IPv4 = 2 tries, IPv6 = 8 tries).
 [[nodiscard]] constexpr unsigned partition_count(unsigned field_bits_) {

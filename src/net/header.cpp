@@ -1,5 +1,6 @@
 #include "net/header.hpp"
 
+#include <iomanip>
 #include <sstream>
 
 namespace ofmtl {
@@ -14,7 +15,12 @@ std::string PacketHeader::to_string() const {
     first = false;
     out << info.name << "=";
     if (info.bits > 64) {
-      out << std::hex << get(info.id).hi << get(info.id).lo << std::dec;
+      // Zero-pad the low word under a nonzero high word so the digits read
+      // as one 128-bit number (hi=1, lo=0x23 is not hi=0x12, lo=0x3).
+      const U128 value = get(info.id);
+      out << std::hex;
+      if (value.hi != 0) out << value.hi << std::setw(16) << std::setfill('0');
+      out << value.lo << std::dec;
     } else {
       out << get64(info.id);
     }

@@ -1,10 +1,11 @@
 // PacketHeader: the parsed per-packet field vector the lookup pipeline
-// classifies. Values are stored right-aligned; fields wider than 64 bits
-// (IPv6) use the full 128-bit representation.
+// classifies. Values are stored right-aligned, one 64-bit word per field;
+// only the two 128-bit IPv6 fields carry a second (high) word.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "net/addresses.hpp"
@@ -15,13 +16,23 @@ namespace ofmtl {
 
 class PacketHeader {
  public:
-  PacketHeader() { values_.fill(U128{}); }
-
+  /// Stores the full 128-bit value for kIpv6Src / kIpv6Dst. Every other
+  /// field is at most 64 bits wide: a nonzero high word throws
+  /// std::invalid_argument and leaves the header unchanged.
   void set(FieldId id, U128 value) {
-    values_[index(id)] = value;
+    if (const std::size_t w = wide_index(id); w < kWideFields) {
+      hi_[w] = value.hi;
+    } else if (value.hi != 0) {
+      throw std::invalid_argument("PacketHeader::set: value wider than 64 bits");
+    }
+    lo_[index(id)] = value.lo;
     present_ |= bit(id);
   }
-  void set(FieldId id, std::uint64_t value) { set(id, U128{value}); }
+  void set(FieldId id, std::uint64_t value) {
+    if (const std::size_t w = wide_index(id); w < kWideFields) hi_[w] = 0;
+    lo_[index(id)] = value;
+    present_ |= bit(id);
+  }
 
   void set_in_port(std::uint32_t port) { set(FieldId::kInPort, std::uint64_t{port}); }
   void set_eth_src(MacAddress mac) { set(FieldId::kEthSrc, mac.value()); }
@@ -42,8 +53,12 @@ class PacketHeader {
   void set_dst_port(std::uint16_t port) { set(FieldId::kDstPort, std::uint64_t{port}); }
   void set_metadata(std::uint64_t metadata) { set(FieldId::kMetadata, metadata); }
 
-  [[nodiscard]] const U128& get(FieldId id) const { return values_[index(id)]; }
-  [[nodiscard]] std::uint64_t get64(FieldId id) const { return values_[index(id)].lo; }
+  [[nodiscard]] U128 get(FieldId id) const {
+    const std::size_t w = wide_index(id);
+    return {w < kWideFields ? hi_[w] : 0, lo_[index(id)]};
+  }
+  /// The low 64 bits of the field: its whole value unless it is IPv6.
+  [[nodiscard]] std::uint64_t get64(FieldId id) const { return lo_[index(id)]; }
   [[nodiscard]] bool has(FieldId id) const { return (present_ & bit(id)) != 0; }
   /// Bitset of present fields (bit i = FieldId i). Fields never set() hold
   /// zero, so two headers with equal mask and equal present values compare
@@ -61,20 +76,35 @@ class PacketHeader {
     return static_cast<std::uint16_t>((get(id) >> low_shift).lo & 0xFFFF);
   }
 
+  /// `{name=value, ...}` over the present fields; IPv6 values print as one
+  /// 128-bit hex number.
   [[nodiscard]] std::string to_string() const;
 
   friend bool operator==(const PacketHeader&, const PacketHeader&) = default;
 
  private:
+  /// kIpv6Src and kIpv6Dst, adjacent in FieldId order, own hi_[0] and hi_[1].
+  static constexpr std::size_t kWideFields = 2;
+
   [[nodiscard]] static constexpr std::size_t index(FieldId id) {
     return static_cast<std::size_t>(id);
   }
   [[nodiscard]] static constexpr std::uint32_t bit(FieldId id) {
     return std::uint32_t{1} << index(id);
   }
+  /// hi_ slot of a 128-bit field; >= kWideFields (unsigned wrap) otherwise.
+  [[nodiscard]] static constexpr std::size_t wide_index(FieldId id) {
+    return index(id) - index(FieldId::kIpv6Src);
+  }
 
-  std::array<U128, kFieldCount> values_{};
+  std::array<std::uint64_t, kFieldCount> lo_{};
+  std::array<std::uint64_t, kWideFields> hi_{};
   std::uint32_t present_ = 0;
 };
+
+static_assert(static_cast<unsigned>(FieldId::kIpv6Dst) ==
+              static_cast<unsigned>(FieldId::kIpv6Src) + 1);
+// 16 low words + 2 IPv6 high words + the present mask: three cache lines.
+static_assert(sizeof(PacketHeader) <= 160);
 
 }  // namespace ofmtl

@@ -213,7 +213,12 @@ Action read_action(Reader& r) {
         r.fail(DecodeStatus::kBadValue);
         return DropAction{};
       }
-      return SetFieldAction{field, r.u128()};
+      const U128 value = r.u128();
+      if (!fits_field(field, value)) {
+        r.fail(DecodeStatus::kBadValue);
+        return DropAction{};
+      }
+      return SetFieldAction{field, value};
     }
     case 2:
       return PushVlanAction{r.u16()};

@@ -13,12 +13,17 @@ void apply_mods(MultiTableLookup& tables, std::span<const PendingFlowMod> mods,
       results[i] = ErrorCode::kBadValue;
       continue;
     }
-    // A match the table cannot store is rejected before anything mutates
-    // (a modify must not delete the entry it cannot replace).
-    if (mod.command != FlowModCommand::kDelete &&
-        tables.table(table).match_error(mod.entry.match) != nullptr) {
-      results[i] = ErrorCode::kBadMatch;
-      continue;
+    // A match or a Set-Field the table cannot store is rejected before
+    // anything mutates (a modify must not delete the entry it cannot replace).
+    if (mod.command != FlowModCommand::kDelete) {
+      if (tables.table(table).match_error(mod.entry.match) != nullptr) {
+        results[i] = ErrorCode::kBadMatch;
+        continue;
+      }
+      if (!mod.entry.instructions.set_fields_fit()) {
+        results[i] = ErrorCode::kBadValue;
+        continue;
+      }
     }
     switch (mod.command) {
       case FlowModCommand::kAdd:

@@ -36,8 +36,9 @@ namespace ofmtl::ofp::server {
 /// Validate-and-apply one batch against a bare MultiTableLookup — the
 /// shared core of the classifier sink and of oracle construction in tests
 /// and the soak tool. `results` must be mods.size() long; mods failing
-/// validation are skipped (kDuplicateEntry / kUnknownEntry / kBadValue, or
-/// kBadMatch for a match the target table cannot store), the rest apply in
+/// validation are skipped (kDuplicateEntry / kUnknownEntry, kBadValue for an
+/// unknown table or a Set-Field value wider than its field, or kBadMatch for
+/// a match the target table cannot store), the rest apply in
 /// order. Deterministic: same tables + same batch == same results and same
 /// final state.
 void apply_mods(MultiTableLookup& tables,

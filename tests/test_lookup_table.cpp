@@ -279,6 +279,52 @@ TEST(LookupTable, RejectedInsertLeavesNoPartialRegistration) {
   EXPECT_EQ(table.lookup(h)->id, 1U);
 }
 
+TEST(LookupTable, RejectsValuesWiderThanTheirField) {
+  FlowMatch valid;
+  valid.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{1}));
+  LookupTable table({FieldId::kVlanId, FieldId::kMetadata},
+                    {make_entry(0, 1, valid, 1)});
+  const TableState before(table);
+
+  // EM exact values: the widest fits, one bit more (or a high word on the
+  // 64-bit metadata field) does not.
+  FlowMatch widest;
+  widest.set(FieldId::kVlanId, FieldMatch::exact(low_mask(13)));
+  EXPECT_EQ(table.match_error(widest), nullptr);
+  FlowMatch wide_vlan;
+  wide_vlan.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{1} << 13));
+  FlowMatch wide_metadata;
+  wide_metadata.set(FieldId::kMetadata, FieldMatch::exact(U128{1, 0}));
+  for (const auto& match : {wide_vlan, wide_metadata}) {
+    EXPECT_NE(table.match_error(match), nullptr);
+    EXPECT_THROW((void)table.insert_entry(make_entry(1, 1, match, 2)),
+                 std::invalid_argument);
+  }
+
+  // Set-Field values, in the apply list and in the action set.
+  auto wide_apply = make_entry(1, 1, valid, 2);
+  wide_apply.instructions.apply_actions.push_back(
+      SetFieldAction{FieldId::kVlanId, U128{1} << 13});
+  auto wide_write = make_entry(1, 1, valid, 2);
+  wide_write.instructions.write_actions.push_back(
+      SetFieldAction{FieldId::kMetadata, U128{1, 0}});
+  for (const auto& entry : {wide_apply, wide_write}) {
+    EXPECT_FALSE(entry.instructions.set_fields_fit());
+    EXPECT_THROW((void)table.insert_entry(entry), std::invalid_argument);
+  }
+  EXPECT_EQ(TableState(table), before);
+  EXPECT_FALSE(table.contains(1));
+
+  // Values that fit insert, a full 128-bit IPv6 rewrite included.
+  auto fits = make_entry(1, 1, widest, 2);
+  fits.instructions.apply_actions = {
+      SetFieldAction{FieldId::kVlanId, U128{low_mask(13)}},
+      SetFieldAction{FieldId::kIpv6Dst, ~U128{}}};
+  EXPECT_TRUE(fits.instructions.set_fields_fit());
+  (void)table.insert_entry(fits);
+  EXPECT_TRUE(table.contains(1));
+}
+
 // ---- structural clone ----
 
 /// A 5-field ACL table (EM ip_proto, LPM addresses, RM ports) with churn

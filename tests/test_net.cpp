@@ -2,6 +2,7 @@
 // byte-level packet codec.
 #include <gtest/gtest.h>
 
+#include "core/flow_key.hpp"
 #include "net/addresses.hpp"
 #include "net/fields.hpp"
 #include "net/header.hpp"
@@ -86,14 +87,86 @@ TEST(FieldRegistry, NameLookup) {
   EXPECT_EQ(field_from_name("nope"), std::nullopt);
 }
 
+/// The widest value `info`'s field holds: every one of its bits set.
+U128 max_value(const FieldInfo& info) { return (~U128{}) >> (128 - info.bits); }
+
 TEST(PacketHeader, SetGetAndPresence) {
+  for (const auto& info : field_registry()) {
+    SCOPED_TRACE(std::string(info.name));
+    PacketHeader h;
+    EXPECT_FALSE(h.has(info.id));
+    EXPECT_EQ(h.get(info.id), U128{});
+    const U128 max = max_value(info);
+    h.set(info.id, max);
+    EXPECT_EQ(h.get(info.id), max);
+    EXPECT_EQ(h.get64(info.id), max.lo);
+    EXPECT_EQ(max.hi != 0, info.bits > 64);  // IPv6 sets both words
+    EXPECT_EQ(h.present_mask(), 1U << static_cast<unsigned>(info.id));
+    for (const auto& other : field_registry()) {
+      if (other.id == info.id) continue;
+      EXPECT_FALSE(h.has(other.id)) << other.name;
+      EXPECT_EQ(h.get(other.id), U128{}) << other.name;
+    }
+
+    if (info.bits > 64) {
+      // A 64-bit set replaces the whole 128-bit value.
+      h.set(info.id, std::uint64_t{5});
+      EXPECT_EQ(h.get(info.id), U128{5});
+      continue;
+    }
+    // A high word does not fit a <= 64-bit field: the set throws and the
+    // header (value and presence) is untouched, whether or not the field
+    // was already present.
+    const PacketHeader copy = h;
+    EXPECT_THROW(h.set(info.id, U128{1, 0}), std::invalid_argument);
+    EXPECT_EQ(h, copy);
+    PacketHeader empty;
+    EXPECT_THROW(empty.set(info.id, U128{1, 7}), std::invalid_argument);
+    EXPECT_EQ(empty, PacketHeader{});
+    EXPECT_FALSE(empty.has(info.id));
+  }
+}
+
+TEST(PacketHeader, EqualityAndFlowKeyHashIgnoreSetOrder) {
+  const auto& registry = field_registry();
+  PacketHeader forward;
+  for (const auto& info : registry) forward.set(info.id, max_value(info));
+  PacketHeader reverse;
+  for (auto it = registry.rbegin(); it != registry.rend(); ++it) {
+    reverse.set(it->id, U128{1});  // overwritten below: last set wins
+    reverse.set(it->id, max_value(*it));
+  }
+  EXPECT_EQ(forward, reverse);
+  EXPECT_EQ(flow_key_hash(forward), flow_key_hash(reverse));
+  EXPECT_EQ(forward.present_mask(), (1U << kFieldCount) - 1);
+
+  // Each IPv6 word on its own takes part in equality and the hash.
+  for (const FieldId id : {FieldId::kIpv6Src, FieldId::kIpv6Dst}) {
+    PacketHeader hi = forward;
+    hi.set(id, U128{1, forward.get(id).lo});
+    EXPECT_NE(hi, forward);
+    EXPECT_NE(flow_key_hash(hi), flow_key_hash(forward));
+    PacketHeader lo = forward;
+    lo.set(id, U128{forward.get(id).hi, 1});
+    EXPECT_NE(lo, forward);
+    EXPECT_NE(flow_key_hash(lo), flow_key_hash(forward));
+  }
+}
+
+TEST(PacketHeader, ToStringPrintsIpv6AsOne128BitNumber) {
+  const auto print = [](U128 value) {
+    PacketHeader h;
+    h.set(FieldId::kIpv6Src, value);
+    return h.to_string();
+  };
+  EXPECT_EQ(print(U128{0x1, 0x23}), "{Source IPv6=10000000000000023}");
+  EXPECT_EQ(print(U128{0x12, 0x3}), "{Source IPv6=120000000000000003}");
+  EXPECT_EQ(print(U128{0, 0x123}), "{Source IPv6=123}");
   PacketHeader h;
-  EXPECT_FALSE(h.has(FieldId::kVlanId));
   h.set_vlan_id(42);
-  EXPECT_TRUE(h.has(FieldId::kVlanId));
-  EXPECT_EQ(h.get64(FieldId::kVlanId), 42U);
-  h.set_eth_dst(MacAddress{0xAABBCCDDEEFFULL});
-  EXPECT_EQ(h.get64(FieldId::kEthDst), 0xAABBCCDDEEFFULL);
+  h.set_ipv6_dst(Ipv6Address{U128{0xFFFF, 0}});
+  EXPECT_EQ(h.to_string(),
+            "{VLAN ID=42, Destination IPv6=ffff0000000000000000}");
 }
 
 TEST(PacketHeader, Partition16) {

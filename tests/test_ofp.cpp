@@ -98,6 +98,28 @@ TEST(OfpCodec, DecodeFuzzNeverCrashes) {
   }
 }
 
+TEST(OfpCodec, SetFieldWiderThanItsFieldIsBadValue) {
+  for (const auto& info : field_registry()) {
+    SCOPED_TRACE(std::string(info.name));
+    const U128 max = (~U128{}) >> (128 - info.bits);
+    auto mod = sample_flow_mod();
+    mod.entry.instructions.apply_actions = {SetFieldAction{info.id, max}};
+    const auto fits = encode({1, mod});
+    Envelope decoded;
+    ASSERT_EQ(try_decode(fits, decoded), DecodeStatus::kOk);
+    EXPECT_EQ(decoded, (Envelope{1, mod}));
+    if (info.bits == 128) continue;  // every 128-bit value fits IPv6
+
+    // One bit above the field, in the write set and in a PACKET_OUT.
+    const U128 over = U128{1} << info.bits;
+    mod.entry.instructions.apply_actions.clear();
+    mod.entry.instructions.write_actions = {SetFieldAction{info.id, over}};
+    EXPECT_EQ(try_decode(encode({2, mod}), decoded), DecodeStatus::kBadValue);
+    const PacketOut out{0xFFFFFFFF, 3, {SetFieldAction{info.id, over}}, {0xBE}};
+    EXPECT_EQ(try_decode(encode({3, out}), decoded), DecodeStatus::kBadValue);
+  }
+}
+
 // --- Randomized property tests: encode -> try_decode == identity ---
 
 U128 random_u128(workload::Rng& rng) { return U128{rng.next(), rng.next()}; }
@@ -129,9 +151,11 @@ FieldMatch random_field_match(workload::Rng& rng) {
 Action random_action(workload::Rng& rng) {
   switch (rng.below(6)) {
     case 0: return OutputAction{static_cast<std::uint32_t>(rng.next())};
-    case 1:
-      return SetFieldAction{static_cast<FieldId>(rng.below(kFieldCount)),
-                            random_u128(rng)};
+    case 1: {
+      // A Set-Field value must fit its field; decode rejects wider ones.
+      const auto field = static_cast<FieldId>(rng.below(kFieldCount));
+      return SetFieldAction{field, random_u128(rng) >> (128 - field_bits(field))};
+    }
     case 2: return PushVlanAction{static_cast<std::uint16_t>(rng.next())};
     case 3: return PopVlanAction{};
     case 4: return DropAction{};
@@ -518,6 +542,32 @@ TEST(SwitchAgent, DuplicateAddAnswersErrorWithoutStateChange) {
 
   const auto error = expect_error(agent.handle_control(encode({41, mod}), 1));
   EXPECT_EQ(error.type, ErrorType::kFlowModFailed);
+  EXPECT_EQ(agent.model().entry_count(), 1U);
+}
+
+TEST(SwitchAgent, OverWideValuesAnswerErrorWithoutStateChange) {
+  SwitchAgent agent({{FieldId::kVlanId}});
+  FlowModMsg mod;
+  mod.entry.id = 3;
+  mod.entry.priority = 1;
+  mod.entry.match.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{7}));
+  mod.entry.instructions = output_instruction(1);
+  // A Set-Field one bit wider than VLAN ID is refused at decode.
+  auto wide_set = mod;
+  wide_set.entry.instructions.apply_actions.push_back(
+      SetFieldAction{FieldId::kVlanId, U128{1} << 13});
+  auto error = expect_error(agent.handle_control(encode({50, wide_set}), 0));
+  EXPECT_EQ(error.code, ErrorCode::kBadValue);
+  EXPECT_EQ(agent.model().entry_count(), 0U);
+  // An EM exact value wider than the field is refused by the table.
+  auto wide_match = mod;
+  wide_match.entry.match.set(FieldId::kVlanId,
+                             FieldMatch::exact(std::uint64_t{1} << 13));
+  error = expect_error(agent.handle_control(encode({51, wide_match}), 1));
+  EXPECT_EQ(error.type, ErrorType::kFlowModFailed);
+  EXPECT_EQ(agent.model().entry_count(), 0U);
+
+  EXPECT_TRUE(agent.handle_control(encode({52, mod}), 2).empty());
   EXPECT_EQ(agent.model().entry_count(), 1U);
 }
 

@@ -482,6 +482,38 @@ TEST(FlowModSinks, UnstorableMatchAnswersBadMatchWithoutMutating) {
   EXPECT_EQ(tables.update_words(), reference.update_words());
 }
 
+TEST(FlowModSinks, OverWideValuesAnswerErrorsWithoutMutating) {
+  MultiTableLookup tables;
+  tables.add_table(LookupTable({FieldId::kEthDst, FieldId::kVlanId}, {}));
+  auto wide_set = pending(1, 20);
+  wide_set.mod.entry.instructions.apply_actions.push_back(
+      SetFieldAction{FieldId::kVlanId, U128{1} << 13});
+  auto wide_exact = pending(2, 21);
+  wide_exact.mod.entry.match.set(FieldId::kVlanId,
+                                 FieldMatch::exact(std::uint64_t{1} << 13));
+  auto modify = wide_set;  // must not delete the entry it cannot replace
+  modify.xid = 4;
+  modify.mod.command = FlowModCommand::kModify;
+  modify.mod.entry.id = 10;
+  const std::vector<PendingFlowMod> mods = {wide_set, wide_exact,
+                                            pending(3, 10), modify};
+  std::vector<ErrorCode> results(mods.size(), ErrorCode::kNone);
+  apply_mods(tables, mods, results);
+  EXPECT_EQ(results, (std::vector<ErrorCode>{ErrorCode::kBadValue,
+                                             ErrorCode::kBadMatch,
+                                             ErrorCode::kNone,
+                                             ErrorCode::kBadValue}));
+  EXPECT_FALSE(tables.contains_entry(0, 20));
+  EXPECT_FALSE(tables.contains_entry(0, 21));
+  EXPECT_TRUE(tables.contains_entry(0, 10));
+  // The rejected mods left nothing behind.
+  MultiTableLookup reference;
+  reference.add_table(LookupTable({FieldId::kEthDst, FieldId::kVlanId}, {}));
+  reference.insert_entry(0, pending(3, 10).mod.entry);
+  EXPECT_EQ(tables.update_words(), reference.update_words());
+  EXPECT_EQ(tables.table(0).entries(), reference.table(0).entries());
+}
+
 TEST(FlowModSinks, ClassifierSinkRejectsBadMatchWithoutResync) {
   runtime::SnapshotClassifier classifier(one_table());
   auto sink = make_classifier_sink(classifier);

@@ -125,6 +125,12 @@ TEST(SwitchModel, MalformedModsThrow) {
   FlowMod modify = add_mod(0, 7, 1, unstorable, 1);
   modify.command = FlowModCommand::kModify;
   EXPECT_THROW(sw.apply(modify), std::invalid_argument);
+  // So is a Set-Field value wider than its field.
+  FlowMod wide_set = add_mod(0, 7, 1, vlan_match(1), 1);
+  wide_set.command = FlowModCommand::kModify;
+  wide_set.entry.instructions.apply_actions.push_back(
+      SetFieldAction{FieldId::kVlanId, U128{1} << 13});
+  EXPECT_THROW(sw.apply(wide_set), std::invalid_argument);
   EXPECT_EQ(sw.entry_count(), 1U);
   PacketHeader h;
   h.set_vlan_id(1);
