@@ -1,7 +1,7 @@
 #include "core/lookup_table.hpp"
 
 #include <algorithm>
-#include <set>
+#include <bit>
 #include <stdexcept>
 
 namespace ofmtl {
@@ -30,12 +30,14 @@ LookupTable::LookupTable(std::vector<FieldId> fields,
 }
 
 LookupTable LookupTable::compile(const FlowTable& table, FieldSearchConfig config) {
-  std::set<FieldId> used;
-  for (const auto& entry : table.entries()) {
-    for (const auto id : entry.match.constrained_fields()) used.insert(id);
+  unsigned used = 0;
+  for (const auto& entry : table.entries()) used |= entry.match.constrained_mask();
+  std::vector<FieldId> fields;
+  for (unsigned rest = used; rest != 0; rest &= rest - 1) {
+    fields.push_back(static_cast<FieldId>(std::countr_zero(rest)));
   }
-  if (used.empty()) used.insert(FieldId::kInPort);  // all-wildcard table
-  return LookupTable{{used.begin(), used.end()}, table.entries(), config};
+  if (fields.empty()) fields.push_back(FieldId::kInPort);  // all-wildcard table
+  return LookupTable{std::move(fields), table.entries(), config};
 }
 
 std::uint32_t LookupTable::insert_entry(FlowEntry entry) {

@@ -31,7 +31,8 @@ void write_field_match(std::ostream& out, const FieldMatch& fm) {
       out << "[" << fm.range.lo << "-" << fm.range.hi << "]";
       break;
     case MatchKind::kMasked:
-      out << "&" << std::hex << fm.mask.lo << "=" << fm.value.lo << std::dec;
+      out << "&" << std::hex << fm.mask.hi << ":" << fm.mask.lo;
+      out << "=" << fm.value.hi << ":" << fm.value.lo << std::dec;
       break;
   }
 }
@@ -46,13 +47,18 @@ void write_field_match(std::ostream& out, const FieldMatch& fm) {
   return value;
 }
 
+/// `HI:LO` in hex; a plain `LO` (no colon) reads as a 64-bit value.
+[[nodiscard]] U128 parse_hex128(std::string_view text) {
+  const auto colon = text.find(':');
+  if (colon == std::string_view::npos) return U128{parse_u64(text, 16)};
+  return U128{parse_u64(text.substr(0, colon), 16), parse_u64(text.substr(colon + 1), 16)};
+}
+
 [[nodiscard]] FieldMatch parse_field_match(const std::string& token) {
+  if (token.empty()) throw std::invalid_argument("missing field spec");
   if (token == "*") return FieldMatch::any();
   if (token.front() == '=') {
-    const auto colon = token.find(':');
-    const std::uint64_t hi = parse_u64(std::string_view(token).substr(1, colon - 1), 16);
-    const std::uint64_t lo = parse_u64(std::string_view(token).substr(colon + 1), 16);
-    return FieldMatch::exact(U128{hi, lo});
+    return FieldMatch::exact(parse_hex128(std::string_view(token).substr(1)));
   }
   if (token.front() == '[') {
     const auto dash = token.find('-');
@@ -62,27 +68,25 @@ void write_field_match(std::ostream& out, const FieldMatch& fm) {
     return FieldMatch::of_range(lo, hi);
   }
   if (token.front() == '&') {
+    // &MASK=VALUE, each HI:LO (or a 64-bit LO, the older form).
     const auto eq = token.find('=');
-    const std::uint64_t mask = parse_u64(std::string_view(token).substr(1, eq - 1), 16);
-    const std::uint64_t value = parse_u64(std::string_view(token).substr(eq + 1), 16);
-    return FieldMatch::masked(U128{value}, U128{mask});
+    if (eq == std::string::npos) throw std::invalid_argument("bad field spec: " + token);
+    const U128 mask = parse_hex128(std::string_view(token).substr(1, eq - 1));
+    const U128 value = parse_hex128(std::string_view(token).substr(eq + 1));
+    return FieldMatch::masked(value, mask);
   }
   // prefix: HI:LO/LENwWIDTH
-  const auto colon = token.find(':');
   const auto slash = token.find('/');
   const auto w = token.find('w');
-  if (colon == std::string::npos || slash == std::string::npos ||
-      w == std::string::npos) {
+  if (slash == std::string::npos || w == std::string::npos || w < slash) {
     throw std::invalid_argument("bad field spec: " + token);
   }
-  const std::uint64_t hi = parse_u64(std::string_view(token).substr(0, colon), 16);
-  const std::uint64_t lo =
-      parse_u64(std::string_view(token).substr(colon + 1, slash - colon - 1), 16);
+  const U128 value = parse_hex128(std::string_view(token).substr(0, slash));
   const auto length =
       static_cast<unsigned>(parse_u64(std::string_view(token).substr(slash + 1, w - slash - 1)));
   const auto width =
       static_cast<unsigned>(parse_u64(std::string_view(token).substr(w + 1)));
-  return FieldMatch::of_prefix(Prefix{U128{hi, lo}, length, width});
+  return FieldMatch::of_prefix(Prefix{value, length, width});
 }
 
 }  // namespace
@@ -132,7 +136,10 @@ FilterSet parse_filterset(std::istream& in) {
     if (line.rfind("# fields:", 0) == 0) {
       std::istringstream fields(line.substr(9));
       unsigned id = 0;
-      while (fields >> id) set.fields.push_back(static_cast<FieldId>(id));
+      while (fields >> id) {
+        if (id >= kFieldCount) throw std::invalid_argument("bad field id: " + line);
+        set.fields.push_back(static_cast<FieldId>(id));
+      }
       continue;
     }
     if (line.front() == '#') continue;
@@ -209,10 +216,10 @@ std::string to_classbench_rule(const FlowMatch& match) {
   };
   out << "@" << cidr(match.get(FieldId::kIpv4Src)) << "\t"
       << cidr(match.get(FieldId::kIpv4Dst)) << "\t";
-  const auto& sp = match.get(FieldId::kSrcPort).range;
-  const auto& dp = match.get(FieldId::kDstPort).range;
+  const ValueRange sp = match.get(FieldId::kSrcPort).range;
+  const ValueRange dp = match.get(FieldId::kDstPort).range;
   out << sp.lo << " : " << sp.hi << "\t" << dp.lo << " : " << dp.hi << "\t";
-  const auto& proto = match.get(FieldId::kIpProto);
+  const FieldMatch proto = match.get(FieldId::kIpProto);
   if (proto.kind == MatchKind::kMasked) {
     out << "0x" << std::hex << proto.value.lo << "/0x" << proto.mask.lo << std::dec;
   } else {

@@ -14,14 +14,18 @@ namespace ofmtl {
 
 /// Write a filter set in the native line format:
 ///   # name: <name>
-///   # fields: <field name>;<field name>...
-///   <priority> <field spec> ... -> <instruction summary>
-/// Field spec is one of  *, =HEX, HEX/LEN, [LO-HI].
+///   # fields: <field id> <field id> ...
+///   <id> <priority> <field spec> ... -> <instruction summary>
+/// Field spec is one of  *, =HEX, HEX/LENwWIDTH, [LO-HI], &MASK=VALUE, where
+/// every HEX, MASK and VALUE is written HI:LO (128 bits, hex).
 void write_filterset(std::ostream& out, const FilterSet& set);
 [[nodiscard]] std::string filterset_to_string(const FilterSet& set);
 
 /// Parse the native line format (inverse of write_filterset). Instruction
-/// summaries are restored for the output/goto patterns the writer emits.
+/// summaries are restored for the output/goto patterns the writer emits. A
+/// hex value may also be a plain 64-bit LO. A malformed spec, or a constraint
+/// that does not fit its field (FlowMatch::fit_error), throws
+/// std::invalid_argument.
 [[nodiscard]] FilterSet parse_filterset(std::istream& in);
 [[nodiscard]] FilterSet parse_filterset_string(const std::string& text);
 

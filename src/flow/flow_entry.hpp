@@ -24,8 +24,8 @@ enum class MatchKind : std::uint8_t {
   kMasked,  ///< arbitrary bitmask (metadata matches)
 };
 
-/// Constraint on a single field. A small tagged struct rather than a variant:
-/// the hot matching loop reads it linearly.
+/// Constraint on a single field: the API value type that FlowMatch::set packs
+/// and FlowMatch::get rebuilds. A small tagged struct rather than a variant.
 struct FieldMatch {
   MatchKind kind = MatchKind::kAny;
   U128 value{};             // kExact / kMasked
@@ -78,45 +78,119 @@ struct FieldMatch {
 };
 
 /// A match across all OpenFlow fields. Fields default to kAny.
+///
+/// Packed the way PacketHeader is: per field one 64-bit value word, one
+/// 64-bit aux word, a kind byte and a prefix-length byte, with values
+/// right-aligned in the field's width. The aux word holds the mask of a
+/// kMasked constraint, the bits a kPrefix constraint compares, and the high
+/// end of a kRange (whose low end is the value word); it is zero otherwise.
+/// Only kIpv6Src and kIpv6Dst carry high value/aux words. FieldMatch stays
+/// the API value type: set() packs one, get() rebuilds it.
 class FlowMatch {
  public:
   FlowMatch() = default;
 
-  void set(FieldId id, FieldMatch match) {
-    fields_[static_cast<std::size_t>(id)] = std::move(match);
+  /// Why `match` does not fit field `id` (an exact or masked value wider
+  /// than field_bits(id), a prefix whose width is not field_bits(id), a
+  /// range beyond the field, an unknown kind), or nullptr if it does.
+  [[nodiscard]] static const char* fit_error(FieldId id, const FieldMatch& match);
+
+  /// Packs `match` into field `id`. A constraint that does not fit (see
+  /// fit_error) throws std::invalid_argument and leaves the match unchanged.
+  void set(FieldId id, const FieldMatch& match);
+
+  /// The constraint on field `id`, rebuilt from the packed words: equal to
+  /// what set() was given (members its kind does not use are zero).
+  [[nodiscard]] FieldMatch get(FieldId id) const {
+    const std::size_t i = index(id);
+    FieldMatch m;
+    m.kind = kind_[i];
+    switch (m.kind) {
+      case MatchKind::kAny:
+        break;
+      case MatchKind::kExact:
+        m.value = value128(i);
+        break;
+      case MatchKind::kPrefix:
+        m.prefix = Prefix{value128(i), prefix_len_[i], field_bits(id)};
+        break;
+      case MatchKind::kRange:
+        m.range = ValueRange{value_[i], aux_[i]};
+        break;
+      case MatchKind::kMasked:
+        m.value = value128(i);
+        m.mask = aux128(i);
+        break;
+    }
+    return m;
   }
-  [[nodiscard]] const FieldMatch& get(FieldId id) const {
-    return fields_[static_cast<std::size_t>(id)];
-  }
+  [[nodiscard]] MatchKind kind(FieldId id) const { return kind_[index(id)]; }
   [[nodiscard]] bool constrains(FieldId id) const {
-    return get(id).kind != MatchKind::kAny;
+    return kind(id) != MatchKind::kAny;
   }
 
+  /// Compares the packed words directly; no FieldMatch is rebuilt.
   [[nodiscard]] bool matches(const PacketHeader& header) const {
     for (std::size_t i = 0; i < kFieldCount; ++i) {
-      const auto& fm = fields_[i];
-      if (fm.kind == MatchKind::kAny) continue;
-      if (!fm.matches(header.get(static_cast<FieldId>(i)))) return false;
+      if (kind_[i] == MatchKind::kAny) continue;
+      if (!field_matches(i, header.get(static_cast<FieldId>(i)))) return false;
     }
     return true;
   }
 
-  /// Fields this match constrains, in FieldId order.
-  [[nodiscard]] std::vector<FieldId> constrained_fields() const {
-    std::vector<FieldId> ids;
+  /// Bitset of constrained fields (bit i = FieldId i; kFieldCount is 16).
+  [[nodiscard]] std::uint16_t constrained_mask() const {
+    std::uint16_t mask = 0;
     for (std::size_t i = 0; i < kFieldCount; ++i) {
-      if (fields_[i].kind != MatchKind::kAny) ids.push_back(static_cast<FieldId>(i));
+      if (kind_[i] != MatchKind::kAny) mask |= static_cast<std::uint16_t>(1U << i);
     }
-    return ids;
+    return mask;
   }
 
+  /// `[name op value, ...]` over the constrained fields; IPv6 exact and
+  /// masked values print as one 128-bit hex number.
   [[nodiscard]] std::string to_string() const;
 
   friend bool operator==(const FlowMatch&, const FlowMatch&) = default;
 
  private:
-  std::array<FieldMatch, kFieldCount> fields_{};
+  [[nodiscard]] static constexpr std::size_t index(FieldId id) {
+    return static_cast<std::size_t>(id);
+  }
+  [[nodiscard]] U128 value128(std::size_t i) const {
+    const std::size_t w = wide_field_slot(static_cast<FieldId>(i));
+    return {w < kWideFieldCount ? value_hi_[w] : 0, value_[i]};
+  }
+  [[nodiscard]] U128 aux128(std::size_t i) const {
+    const std::size_t w = wide_field_slot(static_cast<FieldId>(i));
+    return {w < kWideFieldCount ? aux_hi_[w] : 0, aux_[i]};
+  }
+  [[nodiscard]] bool field_matches(std::size_t i, const U128& key) const {
+    switch (kind_[i]) {
+      case MatchKind::kAny:
+        return true;
+      case MatchKind::kExact:
+        return key == value128(i);
+      case MatchKind::kPrefix:
+      case MatchKind::kMasked:
+        return (key & aux128(i)) == value128(i);
+      case MatchKind::kRange:
+        return key.hi == 0 && value_[i] <= key.lo && key.lo <= aux_[i];
+    }
+    return false;
+  }
+
+  std::array<std::uint64_t, kFieldCount> value_{};
+  std::array<std::uint64_t, kFieldCount> aux_{};
+  std::array<std::uint64_t, kWideFieldCount> value_hi_{};
+  std::array<std::uint64_t, kWideFieldCount> aux_hi_{};
+  std::array<MatchKind, kFieldCount> kind_{};
+  std::array<std::uint8_t, kFieldCount> prefix_len_{};
 };
+
+// 16 value + 16 aux words, 2 + 2 IPv6 high words, 16 kind and 16 prefix-length
+// bytes: five cache lines, where sixteen 80-byte FieldMatch structs took 20.
+static_assert(sizeof(FlowMatch) <= 320);
 
 /// Identifier of a flow entry within its filter set (stable across rebuilds).
 using FlowEntryId = std::uint32_t;
@@ -130,6 +204,10 @@ struct FlowEntry {
 
   friend bool operator==(const FlowEntry&, const FlowEntry&) = default;
 };
+
+// Every rule copy (filter-set build, FlowTable::replace, LookupTable compile
+// and insert, the left-right clone) moves this many bytes per entry.
+static_assert(sizeof(FlowEntry) <= 416);
 
 /// A filter set: the rules of one application's flow table(s) plus the list
 /// of fields the application matches on (e.g. MAC learning: VLAN ID +

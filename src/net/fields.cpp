@@ -1,5 +1,7 @@
 #include "net/fields.hpp"
 
+#include <iomanip>
+#include <sstream>
 #include <stdexcept>
 
 namespace ofmtl {
@@ -13,31 +15,16 @@ std::string_view to_string(MatchMethod method) {
   throw std::logic_error("unknown MatchMethod");
 }
 
-const std::array<FieldInfo, kFieldCount>& field_registry() {
-  // Widths and methods exactly as in Table II of the paper.
-  static const std::array<FieldInfo, kFieldCount> registry = {{
-      {FieldId::kInPort, "Ingress Port", 32, MatchMethod::kExact},
-      {FieldId::kEthSrc, "Source Ethernet", 48, MatchMethod::kLongestPrefix},
-      {FieldId::kEthDst, "Destination Ethernet", 48, MatchMethod::kLongestPrefix},
-      {FieldId::kEthType, "Ethernet Type", 16, MatchMethod::kExact},
-      {FieldId::kVlanId, "VLAN ID", 13, MatchMethod::kExact},
-      {FieldId::kVlanPcp, "VLAN Priority", 3, MatchMethod::kExact},
-      {FieldId::kMplsLabel, "MPLS Label", 20, MatchMethod::kExact},
-      {FieldId::kIpv4Src, "Source IPv4", 32, MatchMethod::kLongestPrefix},
-      {FieldId::kIpv4Dst, "Destination IPv4", 32, MatchMethod::kLongestPrefix},
-      {FieldId::kIpv6Src, "Source IPv6", 128, MatchMethod::kLongestPrefix},
-      {FieldId::kIpv6Dst, "Destination IPv6", 128, MatchMethod::kLongestPrefix},
-      {FieldId::kIpProto, "IPv4 Protocol", 8, MatchMethod::kExact},
-      {FieldId::kIpTos, "IPv4 ToS", 6, MatchMethod::kExact},
-      {FieldId::kSrcPort, "Source Port", 16, MatchMethod::kRange},
-      {FieldId::kDstPort, "Destination Port", 16, MatchMethod::kRange},
-      {FieldId::kMetadata, "Metadata", 64, MatchMethod::kExact},
-  }};
-  return registry;
-}
-
-const FieldInfo& field_info(FieldId id) {
-  return field_registry().at(static_cast<std::size_t>(id));
+std::string format_field_value(FieldId id, const U128& value) {
+  std::ostringstream out;
+  if (field_bits(id) > 64) {
+    // Zero-pad the low word under a nonzero high word so the digits read
+    // as one 128-bit number (hi=1, lo=0x23 is not hi=0x12, lo=0x3).
+    out << std::hex;
+    if (value.hi != 0) out << value.hi << std::setw(16) << std::setfill('0');
+  }
+  out << value.lo;
+  return out.str();
 }
 
 std::optional<FieldId> field_from_name(std::string_view name) {

@@ -20,7 +20,7 @@ class PacketHeader {
   /// field is at most 64 bits wide: a nonzero high word throws
   /// std::invalid_argument and leaves the header unchanged.
   void set(FieldId id, U128 value) {
-    if (const std::size_t w = wide_index(id); w < kWideFields) {
+    if (const std::size_t w = wide_field_slot(id); w < kWideFieldCount) {
       hi_[w] = value.hi;
     } else if (value.hi != 0) {
       throw std::invalid_argument("PacketHeader::set: value wider than 64 bits");
@@ -29,7 +29,7 @@ class PacketHeader {
     present_ |= bit(id);
   }
   void set(FieldId id, std::uint64_t value) {
-    if (const std::size_t w = wide_index(id); w < kWideFields) hi_[w] = 0;
+    if (const std::size_t w = wide_field_slot(id); w < kWideFieldCount) hi_[w] = 0;
     lo_[index(id)] = value;
     present_ |= bit(id);
   }
@@ -54,8 +54,8 @@ class PacketHeader {
   void set_metadata(std::uint64_t metadata) { set(FieldId::kMetadata, metadata); }
 
   [[nodiscard]] U128 get(FieldId id) const {
-    const std::size_t w = wide_index(id);
-    return {w < kWideFields ? hi_[w] : 0, lo_[index(id)]};
+    const std::size_t w = wide_field_slot(id);
+    return {w < kWideFieldCount ? hi_[w] : 0, lo_[index(id)]};
   }
   /// The low 64 bits of the field: its whole value unless it is IPv6.
   [[nodiscard]] std::uint64_t get64(FieldId id) const { return lo_[index(id)]; }
@@ -83,27 +83,17 @@ class PacketHeader {
   friend bool operator==(const PacketHeader&, const PacketHeader&) = default;
 
  private:
-  /// kIpv6Src and kIpv6Dst, adjacent in FieldId order, own hi_[0] and hi_[1].
-  static constexpr std::size_t kWideFields = 2;
-
   [[nodiscard]] static constexpr std::size_t index(FieldId id) {
     return static_cast<std::size_t>(id);
   }
   [[nodiscard]] static constexpr std::uint32_t bit(FieldId id) {
     return std::uint32_t{1} << index(id);
   }
-  /// hi_ slot of a 128-bit field; >= kWideFields (unsigned wrap) otherwise.
-  [[nodiscard]] static constexpr std::size_t wide_index(FieldId id) {
-    return index(id) - index(FieldId::kIpv6Src);
-  }
-
   std::array<std::uint64_t, kFieldCount> lo_{};
-  std::array<std::uint64_t, kWideFields> hi_{};
+  std::array<std::uint64_t, kWideFieldCount> hi_{};
   std::uint32_t present_ = 0;
 };
 
-static_assert(static_cast<unsigned>(FieldId::kIpv6Dst) ==
-              static_cast<unsigned>(FieldId::kIpv6Src) + 1);
 // 16 low words + 2 IPv6 high words + the present mask: three cache lines.
 static_assert(sizeof(PacketHeader) <= 160);
 

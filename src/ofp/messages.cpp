@@ -1,6 +1,7 @@
 #include "ofp/messages.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace ofmtl::ofp {
@@ -124,9 +125,12 @@ void write_field_match(Writer& w, FieldId id, const FieldMatch& fm) {
 }
 
 void write_match(Writer& w, const FlowMatch& match) {
-  const auto fields = match.constrained_fields();
-  w.u8(static_cast<std::uint8_t>(fields.size()));
-  for (const auto id : fields) write_field_match(w, id, match.get(id));
+  const unsigned constrained = match.constrained_mask();
+  w.u8(static_cast<std::uint8_t>(std::popcount(constrained)));
+  for (unsigned rest = constrained; rest != 0; rest &= rest - 1) {
+    const auto id = static_cast<FieldId>(std::countr_zero(rest));
+    write_field_match(w, id, match.get(id));
+  }
 }
 
 FlowMatch read_match(Reader& r) {
@@ -139,22 +143,23 @@ FlowMatch read_match(Reader& r) {
       return match;
     }
     const auto kind = static_cast<MatchKind>(r.u8());
+    FieldMatch fm;
     switch (kind) {
       case MatchKind::kAny:
         break;
       case MatchKind::kExact:
-        match.set(id, FieldMatch::exact(r.u128()));
+        fm = FieldMatch::exact(r.u128());
         break;
       case MatchKind::kPrefix: {
         const U128 value = r.u128();
         const unsigned length = r.u8();
         const unsigned width = r.u8();
         if (!r.ok()) return match;
-        if (width == 0 || width > 128 || length > width) {
+        if (width != field_bits(id) || length > width) {
           r.fail(DecodeStatus::kBadValue);
           return match;
         }
-        match.set(id, FieldMatch::of_prefix(Prefix{value, length, width}));
+        fm = FieldMatch::of_prefix(Prefix{value, length, width});
         break;
       }
       case MatchKind::kRange: {
@@ -165,19 +170,27 @@ FlowMatch read_match(Reader& r) {
           r.fail(DecodeStatus::kBadValue);
           return match;
         }
-        match.set(id, FieldMatch::of_range(lo, hi));
+        fm = FieldMatch::of_range(lo, hi);
         break;
       }
       case MatchKind::kMasked: {
         const U128 value = r.u128();
         const U128 mask = r.u128();
-        match.set(id, FieldMatch::masked(value, mask));
+        fm = FieldMatch::masked(value, mask);
         break;
       }
       default:
         r.fail(DecodeStatus::kBadValue);
         return match;
     }
+    if (!r.ok()) return match;
+    // A constraint that does not fit its field is refused here, so that
+    // FlowMatch::set never throws on hostile bytes.
+    if (FlowMatch::fit_error(id, fm) != nullptr) {
+      r.fail(DecodeStatus::kBadValue);
+      return match;
+    }
+    match.set(id, fm);
   }
   return match;
 }

@@ -287,19 +287,23 @@ TEST(LookupTable, RejectsValuesWiderThanTheirField) {
   const TableState before(table);
 
   // EM exact values: the widest fits, one bit more (or a high word on the
-  // 64-bit metadata field) does not.
+  // 64-bit metadata field) is refused by FlowMatch::set before it can reach
+  // the table, and leaves the match as it was.
   FlowMatch widest;
   widest.set(FieldId::kVlanId, FieldMatch::exact(low_mask(13)));
   EXPECT_EQ(table.match_error(widest), nullptr);
-  FlowMatch wide_vlan;
-  wide_vlan.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{1} << 13));
-  FlowMatch wide_metadata;
-  wide_metadata.set(FieldId::kMetadata, FieldMatch::exact(U128{1, 0}));
-  for (const auto& match : {wide_vlan, wide_metadata}) {
-    EXPECT_NE(table.match_error(match), nullptr);
-    EXPECT_THROW((void)table.insert_entry(make_entry(1, 1, match, 2)),
-                 std::invalid_argument);
-  }
+  FlowMatch refused = widest;
+  EXPECT_THROW(refused.set(FieldId::kVlanId, FieldMatch::exact(std::uint64_t{1} << 13)),
+               std::invalid_argument);
+  EXPECT_THROW(refused.set(FieldId::kMetadata, FieldMatch::exact(U128{1, 0})),
+               std::invalid_argument);
+  EXPECT_EQ(refused, widest);
+  // The field search still refuses them on its own.
+  EXPECT_NE(table.field_searches()[0].match_error(
+                FieldMatch::exact(std::uint64_t{1} << 13)),
+            nullptr);
+  EXPECT_NE(table.field_searches()[1].match_error(FieldMatch::exact(U128{1, 0})),
+            nullptr);
 
   // Set-Field values, in the apply list and in the action set.
   auto wide_apply = make_entry(1, 1, valid, 2);

@@ -120,6 +120,95 @@ TEST(OfpCodec, SetFieldWiderThanItsFieldIsBadValue) {
   }
 }
 
+// The low `n` bytes of `value`, big-endian: how the codec writes integers.
+std::vector<std::uint8_t> wire(const U128& value, std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bytes[n - 1 - i] = static_cast<std::uint8_t>((value >> (8 * i)).lo);
+  }
+  return bytes;
+}
+
+std::vector<std::uint8_t> concat(std::initializer_list<std::vector<std::uint8_t>> parts) {
+  std::vector<std::uint8_t> out;
+  for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
+
+// `frame` with its one occurrence of `from` overwritten by `to` (same length):
+// how a peer's bytes can carry a constraint no FlowMatch can hold.
+std::vector<std::uint8_t> patch(std::vector<std::uint8_t> frame,
+                                const std::vector<std::uint8_t>& from,
+                                const std::vector<std::uint8_t>& to) {
+  const auto at = std::search(frame.begin(), frame.end(), from.begin(), from.end());
+  EXPECT_NE(at, frame.end());
+  if (at != frame.end()) std::copy(to.begin(), to.end(), at);
+  return frame;
+}
+
+TEST(OfpCodec, MatchConstraintWiderThanItsFieldIsBadValue) {
+  for (const auto& info : field_registry()) {
+    SCOPED_TRACE(std::string(info.name));
+    const U128 max = (~U128{}) >> (128 - info.bits);
+    const std::vector<std::uint8_t> head = {static_cast<std::uint8_t>(info.id)};
+    const auto kind = [](MatchKind k) {
+      return std::vector<std::uint8_t>{static_cast<std::uint8_t>(k)};
+    };
+    const auto frame = [&](const FieldMatch& fm) {
+      FlowModMsg mod;
+      mod.entry.id = 1;
+      mod.entry.match.set(info.id, fm);
+      mod.entry.instructions = output_instruction(1);
+      const auto bytes = encode({1, mod});
+      Envelope decoded;
+      EXPECT_EQ(try_decode(bytes, decoded), DecodeStatus::kOk);
+      EXPECT_EQ(decoded, (Envelope{1, mod}));
+      return bytes;
+    };
+    Envelope out;
+
+    // A prefix whose width is not the field's.
+    const auto prefix = frame(FieldMatch::of_prefix(Prefix{max, info.bits, info.bits}));
+    const std::vector<std::uint8_t> len_width = {
+        static_cast<std::uint8_t>(info.bits), static_cast<std::uint8_t>(info.bits)};
+    const std::vector<std::uint8_t> other_width = {
+        0, static_cast<std::uint8_t>(info.bits - 1)};
+    EXPECT_EQ(try_decode(patch(prefix,
+                               concat({head, kind(MatchKind::kPrefix), wire(max, 16),
+                                       len_width}),
+                               concat({head, kind(MatchKind::kPrefix), wire(max, 16),
+                                       other_width})),
+                         out),
+              DecodeStatus::kBadValue);
+    if (info.bits == 128) continue;  // every 128-bit value fits IPv6
+
+    // One bit above the field: an exact value, a mask, a range's high end.
+    const U128 over = U128{1} << info.bits;
+    const auto exact = frame(FieldMatch::exact(max));
+    EXPECT_EQ(try_decode(patch(exact, concat({head, kind(MatchKind::kExact), wire(max, 16)}),
+                               concat({head, kind(MatchKind::kExact), wire(over, 16)})),
+                         out),
+              DecodeStatus::kBadValue);
+    const auto masked = frame(FieldMatch::masked(max, max));
+    EXPECT_EQ(try_decode(patch(masked,
+                               concat({head, kind(MatchKind::kMasked), wire(max, 16),
+                                       wire(max, 16)}),
+                               concat({head, kind(MatchKind::kMasked), wire(max, 16),
+                                       wire(over | max, 16)})),
+                         out),
+              DecodeStatus::kBadValue);
+    if (info.bits == 64) continue;  // every 64-bit range fits metadata
+    const auto range = frame(FieldMatch::of_range(0, max.lo));
+    EXPECT_EQ(try_decode(patch(range,
+                               concat({head, kind(MatchKind::kRange), wire(U128{}, 8),
+                                       wire(max, 8)}),
+                               concat({head, kind(MatchKind::kRange), wire(U128{}, 8),
+                                       wire(over, 8)})),
+                         out),
+              DecodeStatus::kBadValue);
+  }
+}
+
 // --- Randomized property tests: encode -> try_decode == identity ---
 
 U128 random_u128(workload::Rng& rng) { return U128{rng.next(), rng.next()}; }
@@ -130,21 +219,24 @@ std::vector<std::uint8_t> random_bytes(workload::Rng& rng, std::size_t max) {
   return data;
 }
 
-FieldMatch random_field_match(workload::Rng& rng) {
+// A random constraint that fits field `id`: values no wider than the field,
+// prefix width = field_bits(id), a range within the field.
+FieldMatch random_field_match(workload::Rng& rng, FieldId id) {
+  const unsigned bits = field_bits(id);
+  const auto fitting = [&] { return random_u128(rng) >> (128 - bits); };
   switch (rng.below(4)) {
     case 0:
-      return FieldMatch::exact(random_u128(rng));
+      return FieldMatch::exact(fitting());
     case 1: {
-      const unsigned width = 1 + static_cast<unsigned>(rng.below(128));
-      const unsigned length = static_cast<unsigned>(rng.below(width + 1));
-      return FieldMatch::of_prefix(Prefix{random_u128(rng), length, width});
+      const unsigned length = static_cast<unsigned>(rng.below(bits + 1));
+      return FieldMatch::of_prefix(Prefix{random_u128(rng), length, bits});
     }
     case 2: {
-      const auto a = rng.next(), b = rng.next();
+      const auto a = fitting().lo, b = fitting().lo;
       return FieldMatch::of_range(std::min(a, b), std::max(a, b));
     }
     default:
-      return FieldMatch::masked(random_u128(rng), random_u128(rng));
+      return FieldMatch::masked(fitting(), fitting());
   }
 }
 
@@ -180,8 +272,8 @@ FlowModMsg random_flow_mod(workload::Rng& rng) {
   mod.entry.priority = static_cast<std::uint16_t>(rng.next());
   const auto constrained = rng.below(kFieldCount + 1);
   for (std::size_t i = 0; i < constrained; ++i) {
-    mod.entry.match.set(static_cast<FieldId>(rng.below(kFieldCount)),
-                        random_field_match(rng));
+    const auto id = static_cast<FieldId>(rng.below(kFieldCount));
+    mod.entry.match.set(id, random_field_match(rng, id));
   }
   if (rng.chance(0.5)) {
     mod.entry.instructions.goto_table = static_cast<std::uint8_t>(rng.next());
@@ -559,12 +651,16 @@ TEST(SwitchAgent, OverWideValuesAnswerErrorWithoutStateChange) {
   auto error = expect_error(agent.handle_control(encode({50, wide_set}), 0));
   EXPECT_EQ(error.code, ErrorCode::kBadValue);
   EXPECT_EQ(agent.model().entry_count(), 0U);
-  // An EM exact value wider than the field is refused by the table.
-  auto wide_match = mod;
-  wide_match.entry.match.set(FieldId::kVlanId,
-                             FieldMatch::exact(std::uint64_t{1} << 13));
-  error = expect_error(agent.handle_control(encode({51, wide_match}), 1));
-  EXPECT_EQ(error.type, ErrorType::kFlowModFailed);
+  // So is an exact value one bit wider than VLAN ID: no FlowMatch can hold
+  // one, so it reaches the agent only as a peer's bytes.
+  const std::vector<std::uint8_t> vlan_exact = {
+      static_cast<std::uint8_t>(FieldId::kVlanId),
+      static_cast<std::uint8_t>(MatchKind::kExact)};
+  const auto wide_match =
+      patch(encode({51, mod}), concat({vlan_exact, wire(U128{7}, 16)}),
+            concat({vlan_exact, wire(U128{1} << 13, 16)}));
+  error = expect_error(agent.handle_control(wide_match, 1));
+  EXPECT_EQ(error.code, ErrorCode::kBadValue);
   EXPECT_EQ(agent.model().entry_count(), 0U);
 
   EXPECT_TRUE(agent.handle_control(encode({52, mod}), 2).empty());

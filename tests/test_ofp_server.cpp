@@ -488,14 +488,21 @@ TEST(FlowModSinks, OverWideValuesAnswerErrorsWithoutMutating) {
   auto wide_set = pending(1, 20);
   wide_set.mod.entry.instructions.apply_actions.push_back(
       SetFieldAction{FieldId::kVlanId, U128{1} << 13});
-  auto wide_exact = pending(2, 21);
-  wide_exact.mod.entry.match.set(FieldId::kVlanId,
-                                 FieldMatch::exact(std::uint64_t{1} << 13));
+  // An exact value wider than VLAN ID cannot even be put in a match (the
+  // codec answers such bytes with kBadValue); a constraint that fits the
+  // field but not the table's search, a range on the EM field, is kBadMatch.
+  auto bad_match = pending(2, 21);
+  const FlowMatch before = bad_match.mod.entry.match;
+  EXPECT_THROW(bad_match.mod.entry.match.set(
+                   FieldId::kVlanId, FieldMatch::exact(std::uint64_t{1} << 13)),
+               std::invalid_argument);
+  EXPECT_EQ(bad_match.mod.entry.match, before);
+  bad_match.mod.entry.match.set(FieldId::kVlanId, FieldMatch::of_range(1, 2));
   auto modify = wide_set;  // must not delete the entry it cannot replace
   modify.xid = 4;
   modify.mod.command = FlowModCommand::kModify;
   modify.mod.entry.id = 10;
-  const std::vector<PendingFlowMod> mods = {wide_set, wide_exact,
+  const std::vector<PendingFlowMod> mods = {wide_set, bad_match,
                                             pending(3, 10), modify};
   std::vector<ErrorCode> results(mods.size(), ErrorCode::kNone);
   apply_mods(tables, mods, results);

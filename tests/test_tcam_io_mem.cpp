@@ -97,6 +97,50 @@ TEST(FiltersetIo, NativeRoundTrip) {
   }
 }
 
+TEST(FiltersetIo, NativeRoundTripKeepsEveryWordOfEveryKind) {
+  FilterSet set;
+  set.name = "wide";
+  set.fields = {FieldId::kIpv6Src, FieldId::kIpv6Dst, FieldId::kMetadata,
+                FieldId::kSrcPort};
+  const auto add = [&](FieldId id, const FieldMatch& fm) {
+    FlowEntry entry;
+    entry.id = static_cast<FlowEntryId>(set.entries.size());
+    entry.priority = 5;
+    entry.match.set(id, fm);
+    entry.instructions = output_instruction(3);
+    set.entries.push_back(entry);
+  };
+  add(FieldId::kIpv6Src, FieldMatch::masked(U128{0xABCD, 0x12}, U128{0xFFFF, 0xFF}));
+  add(FieldId::kIpv6Dst, FieldMatch::exact(U128{0x2001'0DB8'0000'0000, 1}));
+  add(FieldId::kIpv6Dst,
+      FieldMatch::of_prefix(Prefix{U128{0x2001'0DB8'0000'0000, 0}, 48, 128}));
+  add(FieldId::kMetadata, FieldMatch::masked(U128{0x5}, U128{0xF}));
+  add(FieldId::kSrcPort, FieldMatch::of_range(1024, 65535));
+  const auto parsed = parse_filterset_string(filterset_to_string(set));
+  ASSERT_EQ(parsed.entries.size(), set.entries.size());
+  for (std::size_t i = 0; i < set.entries.size(); ++i) {
+    EXPECT_EQ(parsed.entries[i].match, set.entries[i].match)
+        << set.entries[i].match.to_string();
+  }
+}
+
+TEST(FiltersetIo, ParsesTheOlder64BitMaskedFormAndRefusesBadSpecs) {
+  const std::string head = "# name: t\n# fields: 4 15\n";
+  const auto older = parse_filterset_string(head + "0 1 * &f0=10 -> end out:1\n");
+  ASSERT_EQ(older.entries.size(), 1U);
+  EXPECT_EQ(older.entries[0].match.get(FieldId::kMetadata),
+            FieldMatch::masked(U128{0x10}, U128{0xF0}));
+
+  // VLAN ID is 13 bits wide: each of these is refused, as is an unknown field.
+  for (const std::string spec : {"=0:2000", "[0-8192]", "&0:2000=0:0", "0:0/8w16"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_THROW((void)parse_filterset_string(head + "0 1 " + spec + " * -> end out:1\n"),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW((void)parse_filterset_string("# fields: 16\n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_filterset_string(head + "0 1 *\n"), std::invalid_argument);
+}
+
 TEST(FiltersetIo, ClassBenchRoundTrip) {
   const std::string line = "@10.2.3.0/24\t5.6.7.8/32\t0 : 65535\t1024 : 2048\t0x06/0xff";
   const auto match = parse_classbench_rule(line);
