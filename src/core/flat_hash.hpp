@@ -1,11 +1,13 @@
-// Shared primitives of the sealed flat open-addressing tables: the
-// splitmix64 finalizer that spreads dense keys, the power-of-two capacity
-// rule (>= 2x the entry count, so probe chains stay short and always find
-// an empty slot), and the SwissTable-style tag-group probe loops every flat
-// table routes its hot path through. Each slot owns a one-byte tag — the
-// top 7 bits of its key's hash for live slots, a high-bit sentinel for
+// Shared primitives of the flat open-addressing tables: the splitmix64
+// finalizer that spreads dense keys, the power-of-two capacity rule (>= 2x
+// the entry count, so probe chains stay short and always find an empty
+// slot), and the SwissTable-style tag-group probe loops every flat table
+// routes its hot path through. Each slot owns a one-byte tag — the top 7
+// bits of its key's hash for live slots, a high-bit sentinel for
 // empty/deleted — and probes walk 16-slot groups with one vector byte
 // compare per group (core/simd.hpp) instead of touching one key per step.
+// Some tables are a sealed query form beside a mutable map (MultibitTrie's
+// prefix table); IndexCalculator's stage and final tables are its only store.
 #pragma once
 
 #include <bit>
@@ -48,7 +50,9 @@ inline void reserve_for_append(std::vector<T>& v, std::size_t extra) {
 /// (IndexCalculator stages + final table, MultibitTrie prefix table): with
 /// `used` non-empty slots (live + tombstoned) in `capacity`, accepting one
 /// more insert must keep at least half the slots truly empty, so probe
-/// chains stay short and always terminate.
+/// chains stay short and always terminate. IndexCalculator's tables, once
+/// they trip it, rehash from their own live slots: to a larger capacity
+/// when the live slots alone need it, else in place, purging tombstones.
 [[nodiscard]] constexpr bool flat_needs_rebuild(std::size_t used,
                                                 std::size_t capacity) {
   return 2 * (used + 1) > capacity;

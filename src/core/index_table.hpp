@@ -6,16 +6,17 @@
 // algorithm-label) pairs, so only label combinations some rule actually uses
 // are ever materialized (no crossproduct explosion).
 //
-// Two states per stage: a mutable build/update path (reference-counted
-// unordered_maps, always current) and a sealed query path (flat open-
-// addressing arrays rebuilt by seal()). Queries probe the flat tables when
-// sealed and fall back to the maps otherwise, so sealing is purely a fast
-// path — LookupTable reseals after every bulk build and incremental update.
+// One store, queried and updated in place: each stage is a flat open-
+// addressing table of 16-byte {pair key, label, refs} slots beside its
+// one-byte tag array (core/flat_hash.hpp), and the final label -> rule-list
+// map is a flat table of {label, offset, count, cap} slots over slack-
+// capacity regions of one rule array. add_rule/remove_rule maintain them
+// incrementally (tombstone deletes, rehash-from-self on growth), so a
+// calculator is queryable at every point of its life.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/field_search.hpp"
@@ -25,26 +26,24 @@ namespace ofmtl {
 
 class IndexCalculator {
  public:
-  /// `algorithm_count` = total algorithms across the table's fields.
+  /// Signature arity limit (the remove path records its walk in a fixed
+  /// stack array). A table over every registry field needs 36.
+  static constexpr std::size_t kMaxAlgorithms = 64;
+
+  /// `algorithm_count` = total algorithms across the table's fields
+  /// (1..kMaxAlgorithms).
   explicit IndexCalculator(std::size_t algorithm_count);
 
   /// Register a rule's signature (one label per algorithm, in order).
-  /// `rule_index` is the position in the table's entry array. On a sealed
-  /// calculator the flat query tables are maintained in place (amortized
-  /// O(signature), never an O(rules) rebuild) and stay sealed.
-  void add_rule(const std::vector<Label>& signature, std::uint32_t rule_index);
+  /// `rule_index` is the position in the table's entry array. Amortized
+  /// O(signature): tables grow by rehashing, never per call.
+  void add_rule(std::span<const Label> signature, std::uint32_t rule_index);
 
   /// Unregister a rule. Pair entries are reference-counted across rules and
-  /// vanish when the last sharing rule leaves — the incremental-update
-  /// counterpart of add_rule. Throws if the signature was never registered.
-  /// Sealed calculators stay sealed (tombstone deletion).
-  void remove_rule(const std::vector<Label>& signature, std::uint32_t rule_index);
-
-  /// Rebuild the flat query tables from the current pair maps. Once sealed,
-  /// add_rule/remove_rule keep the flat tables current incrementally, so
-  /// this runs once after bulk construction and is a no-op afterwards.
-  void seal();
-  [[nodiscard]] bool sealed() const { return sealed_; }
+  /// vanish (tombstone) when the last sharing rule leaves — the incremental-
+  /// update counterpart of add_rule. Throws, changing nothing, if the
+  /// signature or the rule was never registered. Allocation-free.
+  void remove_rule(std::span<const Label> signature, std::uint32_t rule_index);
 
   /// Query with per-algorithm candidate lists (most specific first). Appends
   /// the indices of every rule whose signature is covered; order unspecified.
@@ -59,13 +58,12 @@ class IndexCalculator {
   /// Batched allocation-free query over every lane prepared in `ctx` (the
   /// per-lane candidate slots filled by the field searches): fills
   /// ctx.lane_matches(lane) with exactly what query(ctx.packet_candidates
-  /// (lane), ...) would produce, but probes the sealed flat stages
-  /// interleaved across lanes with software prefetch — stage by stage, every
-  /// lane's pair probes are issued before any lane's are resolved. Unsealed
-  /// calculators fall back to the per-lane scalar combine.
+  /// (lane), ...) would produce, but probes the stages interleaved across
+  /// lanes with software prefetch — stage by stage, every lane's pair probes
+  /// are issued before any lane's are resolved.
   void query_batch(SearchContext& ctx) const;
 
-  [[nodiscard]] std::size_t algorithm_count() const { return stage_count_ + 1; }
+  [[nodiscard]] std::size_t algorithm_count() const { return stages_.size() + 1; }
 
   /// Memory model: each stage is a hash table of (label,label)->label words.
   [[nodiscard]] mem::MemoryReport memory_report(const std::string& prefix) const;
@@ -77,65 +75,63 @@ class IndexCalculator {
     return (std::uint64_t{a} << 32) | b;
   }
 
-  struct PairEntry {
-    Label label = 0;
+  /// One pair of a stage. Meaningful only where the slot's tag is a live
+  /// 7-bit hash tag; `refs` counts the rules whose signature passes it.
+  struct StageSlot {
+    PairKey key = 0;
+    Label label = kNoLabel;
     std::uint32_t refs = 0;
   };
 
-  /// Sealed form of one stage: open-addressed pair-key table, power-of-two
-  /// capacity, group-linear tag probing (core/flat_hash.hpp). Slot state
-  /// lives in the one-byte tags — keys/labels are meaningful only where the
-  /// tag is a live 7-bit hash tag.
-  struct FlatStage {
-    std::vector<PairKey> keys;
-    std::vector<Label> labels;
+  /// One stage: open-addressed pair-key table, power-of-two capacity,
+  /// group-linear tag probing (core/flat_hash.hpp).
+  struct Stage {
+    std::vector<StageSlot> slots;
     std::vector<std::uint8_t> tags;
     std::uint64_t mask = 0;
+    std::size_t used = 0;  // live + tombstoned slots
+    std::size_t live = 0;  // valid pairs (the memory model's words)
+    Label next_label = 0;  // labels ever issued; sets the word width
   };
 
-  [[nodiscard]] Label probe_stage(const FlatStage& stage, PairKey key) const;
+  /// One final label and its region of final_rules_: `count` live rule
+  /// indices at [offset, offset + count), `cap` slots reserved.
+  struct FinalSlot {
+    Label key = 0;
+    std::uint32_t offset = 0;
+    std::uint32_t count = 0;
+    std::uint32_t cap = 0;
+  };
+
+  [[nodiscard]] static std::size_t find_pair(const Stage& stage, PairKey key,
+                                             std::uint64_t hash);
+  [[nodiscard]] static Label probe_stage(const Stage& stage, PairKey key);
+  [[nodiscard]] std::size_t find_final(Label final_label,
+                                       std::uint64_t hash) const;
+  /// Append the rule indices of the final label at `final_slot` to `out`.
+  void append_rules(std::size_t final_slot, std::vector<std::uint32_t>& out) const;
   void combine(std::span<const LabelList> candidates, std::vector<Label>& current,
                std::vector<Label>& next, std::vector<std::uint32_t>& out) const;
 
-  /// --- incremental maintenance of the sealed tables (sealed_ only) ---
-  /// The mutable maps must already reflect the mutation: a load- or
-  /// garbage-triggered rebuild reads them.
-  void rebuild_stage(std::size_t stage);
-  void rebuild_final();
-  void flat_stage_insert(std::size_t stage, PairKey key, Label label);
-  void flat_stage_erase(std::size_t stage, PairKey key);
+  /// Rebuild a table at `capacity` from its own live slots (tombstones
+  /// dropped); the final table also packs its regions tight.
+  static void rehash_stage(Stage& stage, std::size_t capacity);
+  void rehash_final(std::size_t capacity);
   void final_add(Label final_label, std::uint32_t rule_index);
-  void final_remove(Label final_label, std::uint32_t rule_index);
-  /// Append a zeroed region of `capacity` slots to final_rules_.
-  [[nodiscard]] std::uint32_t append_final_region(std::uint32_t capacity);
 
-  std::size_t stage_count_;  // = algorithm_count - 1
-  std::vector<std::unordered_map<PairKey, PairEntry>> stages_;
-  std::vector<Label> next_intermediate_;  // per stage
+  std::vector<Stage> stages_;  // algorithm_count - 1 stages
+
   // Final combined label -> rule indices (several rules may share a match
-  // signature at different priorities).
-  std::unordered_map<Label, std::vector<std::uint32_t>> rules_;
-  Label next_final_ = 0;
-
-  // Sealed query tables: one flat stage per pair map, plus the final
-  // label -> rule-index map flattened into CSR form behind its own flat
-  // key table. Incremental mutations keep them current without a full
-  // rebuild: stage/final slots tombstone on delete (probes skip tombstones,
-  // inserts reuse them), and each final label owns a slack-capacity region
-  // of final_rules_ that grows by relocation to the tail; abandoned regions
-  // are garbage until a threshold-triggered compaction. Rebuilds therefore
-  // run amortized-O(1) per mutation, never per-publish.
-  bool sealed_ = false;
-  std::vector<FlatStage> flat_stages_;
-  std::vector<std::size_t> stage_used_;        // live + tombstoned slots
-  std::vector<std::uint64_t> final_keys_;      // slot -> final label
-  std::vector<std::uint8_t> final_tags_;       // slot state (tag-group probed)
-  std::vector<std::uint32_t> final_offsets_;   // slot -> region offset
-  std::vector<std::uint32_t> final_counts_;    // slot -> live indices
-  std::vector<std::uint32_t> final_caps_;      // slot -> region capacity
-  std::vector<std::uint32_t> final_rules_;     // region storage
+  // signature at different priorities). Each final label owns a slack-
+  // capacity region of final_rules_ that grows by relocation to the tail;
+  // abandoned regions are garbage until a threshold-triggered compaction.
+  std::vector<FinalSlot> final_slots_;
+  std::vector<std::uint8_t> final_tags_;
+  std::vector<std::uint32_t> final_rules_;  // region storage
   std::uint64_t final_mask_ = 0;
   std::size_t final_used_ = 0;     // live + tombstoned key slots
+  std::size_t final_live_ = 0;     // live final labels
+  std::size_t live_rules_ = 0;     // rule indices across all regions
   std::size_t final_garbage_ = 0;  // abandoned final_rules_ slots
 };
 

@@ -193,7 +193,7 @@ TEST(BatchProbes, RangeMatcherWideFieldMatchesScalar) {
 /// Randomized signatures over a configurable arity; candidates drawn so a
 /// fraction resolves to real rules (nested LPM-style multi-candidate lists).
 void expect_index_batch_matches_scalar(std::size_t algorithms,
-                                       std::uint64_t seed, bool seal) {
+                                       std::uint64_t seed) {
   Rng rng(seed);
   IndexCalculator calc(algorithms);
   constexpr std::size_t kLabelSpace = 12;
@@ -209,7 +209,6 @@ void expect_index_batch_matches_scalar(std::size_t algorithms,
   for (std::uint32_t rule = 0; rule < 160; rule += 5) {
     calc.remove_rule(signatures[rule], rule);  // exercise ref-count drops
   }
-  if (seal) calc.seal();
 
   constexpr std::size_t kLanes = 37;  // deliberately not a lane-window multiple
   SearchContext ctx;
@@ -231,22 +230,17 @@ void expect_index_batch_matches_scalar(std::size_t algorithms,
                                       ctx.packet_candidates(lane).end()),
                expected);
     ASSERT_EQ(ctx.lane_matches(lane), expected)
-        << "algorithms=" << algorithms << " lane=" << lane
-        << " sealed=" << seal;
+        << "algorithms=" << algorithms << " lane=" << lane;
   }
 }
 
 TEST(BatchProbes, IndexCalculatorMatchesScalarSealed) {
   run_both_backends([] {
-    expect_index_batch_matches_scalar(1, 11, true);
-    expect_index_batch_matches_scalar(2, 22, true);
-    expect_index_batch_matches_scalar(4, 33, true);
-    expect_index_batch_matches_scalar(7, 44, true);
+    expect_index_batch_matches_scalar(1, 11);
+    expect_index_batch_matches_scalar(2, 22);
+    expect_index_batch_matches_scalar(4, 33);
+    expect_index_batch_matches_scalar(7, 44);
   });
-}
-
-TEST(BatchProbes, IndexCalculatorMatchesScalarUnsealedFallback) {
-  expect_index_batch_matches_scalar(3, 55, false);
 }
 
 TEST(BatchProbes, IndexCalculatorSteadyStateAllocationFree) {
@@ -260,7 +254,6 @@ TEST(BatchProbes, IndexCalculatorSteadyStateAllocationFree) {
     }
     calc.add_rule(signature, rule);
   }
-  calc.seal();
   constexpr std::size_t kLanes = 64;
   SearchContext ctx;
   ctx.begin(kLanes, kAlgorithms);
@@ -275,6 +268,28 @@ TEST(BatchProbes, IndexCalculatorSteadyStateAllocationFree) {
   for (int pass = 0; pass < 2; ++pass) calc.query_batch(ctx);  // warm
   const std::size_t before = g_allocations;
   for (int pass = 0; pass < 8; ++pass) calc.query_batch(ctx);
+  EXPECT_EQ(g_allocations, before);
+}
+
+TEST(BatchProbes, IndexCalculatorRemoveAllocationFree) {
+  // remove_rule validates into a fixed stack array and only tombstones, so
+  // an OFP delete never allocates inside the index.
+  Rng rng(321);
+  constexpr std::size_t kAlgorithms = 5;
+  IndexCalculator calc(kAlgorithms);
+  std::vector<std::vector<Label>> signatures;
+  for (std::uint32_t rule = 0; rule < 300; ++rule) {
+    std::vector<Label> signature;
+    for (std::size_t a = 0; a < kAlgorithms; ++a) {
+      signature.push_back(static_cast<Label>(rng.below(16)));
+    }
+    calc.add_rule(signature, rule);
+    signatures.push_back(std::move(signature));
+  }
+  const std::size_t before = g_allocations;
+  for (std::uint32_t rule = 0; rule < 300; rule += 2) {
+    calc.remove_rule(signatures[rule], rule);
+  }
   EXPECT_EQ(g_allocations, before);
 }
 
