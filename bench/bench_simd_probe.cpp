@@ -132,7 +132,7 @@ int main() {
                  });
   }
 
-  // --- multibit trie: popcount descent + flat-table probes ------------------
+  // --- multibit trie: lane-window descent + label-row copies ----------------
   {
     MultibitTrie trie = MultibitTrie::partition16();
     for (int i = 0; i < 2000; ++i) {
@@ -141,7 +141,6 @@ int main() {
                                   << (16 - len);
       trie.insert(Prefix{U128{value}, len, 16}, static_cast<Label>(i % 512));
     }
-    trie.seal();
     std::vector<std::uint64_t> keys;
     for (std::size_t i = 0; i < kQueries; ++i) keys.push_back(rng.next() & 0xFFFF);
     std::vector<LabelList> lists(keys.size());

@@ -33,8 +33,7 @@ FieldSearch::FieldSearch(FieldId field, FieldSearchConfig config)
       break;
     }
     case MatchMethod::kRange:
-      ranges_.emplace(info.bits);
-      label_refs_.resize(1);
+      ranges_.emplace(info.bits);  // reference-counts its own ranges
       break;
   }
 }
@@ -139,7 +138,7 @@ std::vector<Label> FieldSearch::add_rule(const FieldMatch& match) {
         return {*em_any_label_};
       }
       const Label label = lut_->insert(*elements.exact_value);
-      ++label_refs_[0][label];
+      add_ref(0, label);
       return {label};
     }
     case MatchMethod::kLongestPrefix: {
@@ -150,16 +149,13 @@ std::vector<Label> FieldSearch::add_rule(const FieldMatch& match) {
         const Label label = trie_encoders_[p].encode(
             partition_key(prefix.length(), prefix.value64()));
         tries_[p].insert(prefix, label);
-        ++label_refs_[p][label];
+        add_ref(p, label);
         labels.push_back(label);
       }
       return labels;
     }
-    case MatchMethod::kRange: {
-      const Label label = ranges_->add(*elements.range);
-      ++label_refs_[0][label];
-      return {label};
-    }
+    case MatchMethod::kRange:
+      return {ranges_->add(*elements.range)};
   }
   throw std::logic_error("unknown match method");
 }
@@ -167,13 +163,11 @@ std::vector<Label> FieldSearch::add_rule(const FieldMatch& match) {
 std::vector<Label> FieldSearch::remove_rule(const FieldMatch& match) {
   const auto elements = decompose(match);
   const auto drop_ref = [this](std::size_t algorithm, Label label) {
-    const auto it = label_refs_[algorithm].find(label);
-    if (it == label_refs_[algorithm].end()) {
+    auto& refs = label_refs_[algorithm];
+    if (label >= refs.size() || refs[label] == 0) {
       throw std::invalid_argument("remove_rule: label not registered");
     }
-    if (--it->second != 0) return false;
-    label_refs_[algorithm].erase(it);
-    return true;  // last reference gone
+    return --refs[label] == 0;  // last reference gone
   };
 
   switch (method()) {
@@ -209,7 +203,6 @@ std::vector<Label> FieldSearch::remove_rule(const FieldMatch& match) {
       if (!label) throw std::invalid_argument("remove_rule: range not present");
       // RangeMatcher holds one reference per registered rule; release ours
       // and rebuild the interval index when the range actually dies.
-      (void)drop_ref(0, *label);
       ranges_->remove(*elements.range);
       if (!ranges_->find(*elements.range)) ranges_->seal();
       return {*label};
@@ -220,7 +213,12 @@ std::vector<Label> FieldSearch::remove_rule(const FieldMatch& match) {
 
 void FieldSearch::seal() {
   if (ranges_) ranges_->seal();
-  for (auto& trie : tries_) trie.seal();
+}
+
+void FieldSearch::add_ref(std::size_t algorithm, Label label) {
+  auto& refs = label_refs_[algorithm];
+  if (label >= refs.size()) refs.resize(std::size_t{label} + 1, 0);
+  ++refs[label];
 }
 
 void FieldSearch::search(const PacketHeader& header,

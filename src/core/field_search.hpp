@@ -12,7 +12,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "classifier/range_matcher.hpp"
@@ -60,8 +59,8 @@ class FieldSearch {
   /// constraint was never registered.
   std::vector<Label> remove_rule(const FieldMatch& match);
 
-  /// Finish building (seals the range matcher and the partition tries'
-  /// flat query tables).
+  /// Finish building: seals the range matcher's interval index (EM and LPM
+  /// engines are always queryable, so this is a no-op for them).
   void seal();
 
   /// Search a packet: one candidate list per algorithm, appended to `out`.
@@ -107,6 +106,7 @@ class FieldSearch {
     std::optional<ValueRange> range;    // RM
   };
   [[nodiscard]] RuleElements decompose(const FieldMatch& match) const;
+  void add_ref(std::size_t algorithm, Label label);
 
   FieldId field_;
   FieldSearchConfig config_;
@@ -119,8 +119,10 @@ class FieldSearch {
   // reference count is nonzero.
   std::optional<Label> em_any_label_;
   std::uint32_t em_any_refs_ = 0;
-  // Per-algorithm label reference counts (how many rules hold each label).
-  std::vector<std::unordered_map<Label, std::uint32_t>> label_refs_;
+  // EM/LPM per-algorithm label reference counts (how many rules hold each
+  // label), indexed by label: both engines hand out dense labels. The range
+  // matcher counts its own references.
+  std::vector<std::vector<std::uint32_t>> label_refs_;
 };
 
 }  // namespace ofmtl

@@ -6,8 +6,8 @@
 // bits of its key's hash for live slots, a high-bit sentinel for
 // empty/deleted — and probes walk 16-slot groups with one vector byte
 // compare per group (core/simd.hpp) instead of touching one key per step.
-// Some tables are a sealed query form beside a mutable map (MultibitTrie's
-// prefix table); IndexCalculator's stage and final tables are its only store.
+// IndexCalculator's stage and final tables are the tombstoning users: they
+// are its only store and rehash from their own live slots.
 #pragma once
 
 #include <bit>
@@ -46,16 +46,27 @@ inline void reserve_for_append(std::vector<T>& v, std::size_t extra) {
   return capacity;
 }
 
-/// Incremental-insert rebuild rule shared by every tombstoning flat table
-/// (IndexCalculator stages + final table, MultibitTrie prefix table): with
-/// `used` non-empty slots (live + tombstoned) in `capacity`, accepting one
-/// more insert must keep at least half the slots truly empty, so probe
-/// chains stay short and always terminate. IndexCalculator's tables, once
-/// they trip it, rehash from their own live slots: to a larger capacity
-/// when the live slots alone need it, else in place, purging tombstones.
+/// Incremental-insert rebuild rule of the tombstoning flat tables
+/// (IndexCalculator stages + final table): with `used` non-empty slots
+/// (live + tombstoned) in `capacity`, accepting one more insert must keep
+/// at least half the slots truly empty, so probe chains stay short and
+/// always terminate.
 [[nodiscard]] constexpr bool flat_needs_rebuild(std::size_t used,
                                                 std::size_t capacity) {
   return 2 * (used + 1) > capacity;
+}
+
+/// Capacity a table that tripped flat_needs_rebuild rehashes to: double
+/// when its `live` slots plus the pending insert fill more than 3/8 of it,
+/// else the same capacity (purging tombstones in place). The gap to the
+/// 1/2 trip point is hysteresis: after a purge, at least capacity/8 more
+/// slots must fill before the next rebuild, so churn at a steady live count
+/// never pays an O(capacity) rehash per insert. An insert-only table trips
+/// at exactly half full and so doubles, as flat_tag_capacity(live + 1)
+/// would.
+[[nodiscard]] constexpr std::size_t flat_rebuild_capacity(
+    std::size_t live, std::size_t capacity) {
+  return 8 * (live + 1) > 3 * capacity ? 2 * capacity : capacity;
 }
 
 /// --- tag-group probing ------------------------------------------------------

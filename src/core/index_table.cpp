@@ -12,6 +12,7 @@ namespace ofmtl {
 namespace {
 
 using detail::flat_needs_rebuild;
+using detail::flat_rebuild_capacity;
 using detail::flat_tag_capacity;
 using detail::kTagDeleted;
 using detail::kTagEmpty;
@@ -79,7 +80,8 @@ void IndexCalculator::add_rule(std::span<const Label> signature,
     std::size_t index = find_pair(stage, key, hash);
     if (index == SIZE_MAX) {
       if (flat_needs_rebuild(stage.used, stage.tags.size())) {
-        rehash_stage(stage, flat_tag_capacity(stage.live + 1));
+        rehash_stage(stage,
+                     flat_rebuild_capacity(stage.live, stage.tags.size()));
       }
       // Reuse the first empty-or-tombstoned slot on the probe path.
       index = tag_insert_slot(stage.tags.data(), stage.mask, hash);
@@ -167,10 +169,13 @@ void IndexCalculator::rehash_final(std::size_t capacity) {
 
 void IndexCalculator::final_add(Label final_label, std::uint32_t rule_index) {
   // Rebuild triggers up front: key-table load past the shared 50% rule, or
-  // more than half of final_rules_ abandoned.
-  if (flat_needs_rebuild(final_used_, final_tags_.size()) ||
+  // more than half of final_rules_ abandoned (a compaction alone keeps the
+  // key table's capacity).
+  const bool full = flat_needs_rebuild(final_used_, final_tags_.size());
+  if (full ||
       (final_rules_.size() >= 64 && 2 * final_garbage_ > final_rules_.size())) {
-    rehash_final(flat_tag_capacity(final_live_ + 1));
+    rehash_final(full ? flat_rebuild_capacity(final_live_, final_tags_.size())
+                      : final_tags_.size());
   }
   const std::uint64_t hash = mix64(final_label);
   std::size_t index = find_final(final_label, hash);

@@ -92,9 +92,9 @@ std::uint32_t LookupTable::insert_entry_impl(FlowEntry entry, bool seal_after) {
   slots_[slot].seq = next_seq_++;
   slots_[slot].entry = std::move(entry);
   ++live_entries_;
-  // Newly built range/trie query structures need sealing before the next
-  // lookup (the index calculator is always queryable); batch construction
-  // seals once at the end, incremental callers pay it here.
+  // A newly built range index needs sealing before the next lookup (the
+  // tries, the LUT and the index calculator are always queryable); batch
+  // construction seals once at the end, incremental callers pay it here.
   if (seal_after) {
     for (auto& search : searches_) search.seal();
   }

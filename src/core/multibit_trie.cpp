@@ -2,21 +2,98 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
-
-#include "core/flat_hash.hpp"
+#include <type_traits>
 
 namespace ofmtl {
 
 namespace {
 
-/// Non-last levels this stride-wide can use the 32-bit compact child bitmap.
-constexpr unsigned kCompactMaxStride = 5;
+static_assert(std::is_same_v<Label, std::uint32_t>,
+              "label rows store labels in 32-bit words");
 
-/// Mix of a (length, value) prefix key for the sealed table.
-[[nodiscard]] std::uint64_t mix_prefix_key(unsigned len, std::uint64_t value) {
-  return detail::mix64(value + (std::uint64_t{len} << 56));
+/// Row header: bit b (b <= 24, the widest stride) marks a covering prefix
+/// with b bits in the level; the label count sits above kCountShift. The
+/// count is stored rather than popcounted because queries read it per
+/// visited level, and the build targets no hardware popcount.
+constexpr unsigned kCountShift = 27;
+constexpr std::uint32_t kBitsMask = (std::uint32_t{1} << kCountShift) - 1;
+
+/// Queries copy rows in fixed chunks of this many labels and trim the
+/// output afterwards, so every level array carries kChunk - 1 spare words
+/// past its last row and outputs are sized with kChunk spare slots.
+constexpr std::size_t kChunk = 8;
+
+/// Deepest descent: strides are >= 1 bit and keys <= 64 bits.
+constexpr std::size_t kMaxLevels = 64;
+
+[[nodiscard]] bool row_has(const std::uint32_t* row, unsigned bits) {
+  return (row[0] >> bits & 1U) != 0;
+}
+
+/// Store `label` for the covering prefix with `bits` bits here, keeping the
+/// labels longest first. Returns whether the row's head (the entry label
+/// the paper's model counts writes of) changed.
+bool row_store(std::uint32_t* row, unsigned bits, Label label) {
+  const std::uint32_t mask = row[0] & kBitsMask;
+  const std::uint32_t count = row[0] >> kCountShift;
+  const auto pos = static_cast<std::size_t>(std::popcount(mask >> bits >> 1));
+  Label* const labels = row + 1;
+  if (row_has(row, bits)) {
+    const bool head_changed = pos == 0 && labels[0] != label;
+    labels[pos] = label;
+    return head_changed;
+  }
+  std::copy_backward(labels + pos, labels + count, labels + count + 1);
+  labels[pos] = label;
+  row[0] = (mask | std::uint32_t{1} << bits) | (count + 1) << kCountShift;
+  return pos == 0;
+}
+
+/// Drop the covering prefix with `bits` bits here; the next-longest label
+/// moves up. Returns whether the row's head changed.
+bool row_erase(std::uint32_t* row, unsigned bits) {
+  const std::uint32_t mask = row[0] & kBitsMask;
+  const std::uint32_t count = row[0] >> kCountShift;
+  const auto pos = static_cast<std::size_t>(std::popcount(mask >> bits >> 1));
+  Label* const labels = row + 1;
+  std::copy(labels + pos + 1, labels + count, labels + pos);
+  labels[count - 1] = 0;
+  row[0] = (mask & ~(std::uint32_t{1} << bits)) | (count - 1) << kCountShift;
+  return pos == 0;
+}
+
+/// Copy the label rows of a descent path, deepest (`path[depth - 1]`)
+/// first, into `out`.
+void emit_rows(const std::uint32_t* const* path, std::size_t depth,
+               std::vector<Label>& out) {
+  // Each level's labels are longer than any shallower level's, so
+  // concatenating rows deepest first keeps the whole list longest first.
+  // Fixed-size chunk copies may run past a row (into the level array's
+  // padding) and past the list (into kChunk spare output slots); the final
+  // resize trims what they carried along.
+  std::size_t total = 0;
+  for (std::size_t d = 0; d < depth; ++d) total += path[d][0] >> kCountShift;
+  // Power-of-two capacity, as detail::reserve_for_append gives appends: a
+  // reused slot then stops growing after a few distinct list lengths.
+  if (out.capacity() < total + kChunk) {
+    out.reserve(std::bit_ceil(total + kChunk));
+  }
+  out.resize(total + kChunk);
+  Label* dst = out.data();
+  for (std::size_t d = depth; d-- > 0;) {
+    const std::uint32_t* row = path[d];
+    const std::uint32_t count = row[0] >> kCountShift;
+    std::size_t k = 0;
+    do {
+      std::memcpy(dst + k, row + 1 + k, kChunk * sizeof(Label));
+      k += kChunk;
+    } while (k < count);
+    dst += count;
+  }
+  out.resize(total);
 }
 
 }  // namespace
@@ -46,31 +123,19 @@ MultibitTrie::MultibitTrie(unsigned width, std::vector<unsigned> strides)
   for (std::size_t i = 0; i < strides_.size(); ++i) {
     levels_[i].stride = strides_[i];
     levels_[i].cum_before = cum;
+    levels_[i].row_words = strides_[i] + 2;
     cum += strides_[i];
-  }
-  compact_supported_ = true;
-  for (std::size_t i = 0; i + 1 < strides_.size(); ++i) {
-    if (strides_[i] > kCompactMaxStride) compact_supported_ = false;
   }
   allocate_block(0);  // root block always exists
 }
 
 std::int32_t MultibitTrie::allocate_block(std::size_t level_index) {
   Level& level = levels_[level_index];
-  const auto block = static_cast<std::int32_t>(level.blocks);
-  level.entries.resize(level.entries.size() + (std::size_t{1} << level.stride));
-  ++level.blocks;
-  // The only structural mutation: child arrays grew, so the contiguous
-  // compact layout is stale. (Label rewrites — including every remove() —
-  // leave the structure intact and never invalidate.)
-  compact_valid_ = false;
-  return block;
-}
-
-std::size_t MultibitTrie::total_blocks() const {
-  std::size_t blocks = 0;
-  for (const Level& level : levels_) blocks += level.blocks;
-  return blocks;
+  const std::size_t entries = (level.blocks + 1) << level.stride;
+  if (level_index + 1 < levels_.size()) level.child.resize(entries, -1);
+  // The padding words are never written, so they read back as zero rows.
+  level.rows.resize(entries * level.row_words + kChunk - 1, 0);
+  return static_cast<std::int32_t>(level.blocks++);
 }
 
 void MultibitTrie::check_prefix(const Prefix& prefix) const {
@@ -79,54 +144,40 @@ void MultibitTrie::check_prefix(const Prefix& prefix) const {
   }
 }
 
+MultibitTrie::Fan MultibitTrie::fan_of(const Level& level, std::size_t block,
+                                       const Prefix& prefix) {
+  // Controlled prefix expansion over the stride bits the prefix leaves free.
+  const unsigned bits = prefix.length() - level.cum_before;
+  const std::uint64_t base =
+      bits == 0 ? 0
+                : prefix.slice(level.cum_before, bits) << (level.stride - bits);
+  return {block * (std::size_t{1} << level.stride) + base,
+          std::size_t{1} << (level.stride - bits), bits};
+}
+
 void MultibitTrie::insert(const Prefix& prefix, Label label) {
   check_prefix(prefix);
-  matches_valid_ = false;  // precomputed terminal lists now stale
-  const auto [it, inserted] =
-      prefixes_.try_emplace({prefix.length(), prefix.value64()}, label);
-  if (!inserted) it->second = label;
-  if (sealed_) {
-    // Keep the flat query table current instead of unsealing: an update is
-    // one probe chain, never an O(prefixes) rebuild.
-    if (inserted) {
-      flat_insert(prefix.length(), prefix.value64(), label);
-    } else {
-      flat_labels_[find_flat_slot(prefix.length(), prefix.value64())] = label;
-    }
-  }
-
   std::size_t block = 0;
   for (std::size_t li = 0; li < levels_.size(); ++li) {
     Level& level = levels_[li];
-    const unsigned cum_after = level.cum_before + level.stride;
-    if (prefix.length() > cum_after) {
+    if (prefix.length() > level.cum_before + level.stride) {
       // Descend: this level's chunk is fully specified by the prefix.
-      const std::uint64_t chunk = prefix.slice(level.cum_before, level.stride);
-      const std::size_t index = entry_index(level, block, chunk);
-      if (level.entries[index].child < 0) {
-        level.entries[index].child = allocate_block(li + 1);
+      const std::size_t index = entry_index(
+          level, block, prefix.slice(level.cum_before, level.stride));
+      if (level.child[index] < 0) {
+        level.child[index] = allocate_block(li + 1);
         ++writes_;  // pointer store
       }
-      block = static_cast<std::size_t>(level.entries[index].child);
+      block = static_cast<std::size_t>(level.child[index]);
       continue;
     }
-    // The prefix ends within this level: controlled prefix expansion over
-    // the remaining stride bits.
-    const unsigned bits_here = prefix.length() - level.cum_before;
-    const std::uint64_t base =
-        bits_here == 0 ? 0
-                       : prefix.slice(level.cum_before, bits_here)
-                             << (level.stride - bits_here);
-    const std::size_t fan = std::size_t{1} << (level.stride - bits_here);
-    for (std::size_t j = 0; j < fan; ++j) {
-      Entry& entry = level.entries[entry_index(level, block, base + j)];
-      const bool overwrite =
-          entry.label == kNoLabel || entry.plen <= prefix.length();
-      if (overwrite &&
-          (entry.label != label ||
-           entry.plen != static_cast<std::uint8_t>(prefix.length()))) {
-        entry.label = label;
-        entry.plen = static_cast<std::uint8_t>(prefix.length());
+    const Fan fan = fan_of(level, block, prefix);
+    if (!row_has(&level.rows[fan.first * level.row_words], fan.bits)) {
+      ++prefixes_;
+    }
+    for (std::size_t j = 0; j < fan.count; ++j) {
+      if (row_store(&level.rows[(fan.first + j) * level.row_words], fan.bits,
+                    label)) {
         ++writes_;
       }
     }
@@ -145,7 +196,7 @@ std::uint64_t MultibitTrie::insert_cost(const Prefix& prefix) const {
     if (prefix.length() > cum_after) {
       const std::uint64_t chunk = prefix.slice(level.cum_before, level.stride);
       const std::size_t index = entry_index(level, block, chunk);
-      if (level.entries[index].child < 0) {
+      if (level.child[index] < 0) {
         // A fresh insert would write this pointer, one pointer per new block
         // below, and the expansion fan at the level the prefix ends in.
         cost += 1;
@@ -162,7 +213,7 @@ std::uint64_t MultibitTrie::insert_cost(const Prefix& prefix) const {
         }
         return cost;
       }
-      block = static_cast<std::size_t>(level.entries[index].child);
+      block = static_cast<std::size_t>(level.child[index]);
       continue;
     }
     const unsigned bits_here = prefix.length() - level.cum_before;
@@ -174,381 +225,56 @@ std::uint64_t MultibitTrie::insert_cost(const Prefix& prefix) const {
 
 bool MultibitTrie::remove(const Prefix& prefix) {
   check_prefix(prefix);
-  const auto it = prefixes_.find({prefix.length(), prefix.value64()});
-  if (it == prefixes_.end()) return false;
-  matches_valid_ = false;  // precomputed terminal lists now stale
-  prefixes_.erase(it);
-  if (sealed_) flat_erase(prefix.length(), prefix.value64());
-
-  // Walk to the expansion block, then recompute every entry the removed
-  // prefix owned from the remaining prefixes ending at the same level.
   std::size_t block = 0;
-  for (std::size_t li = 0; li < levels_.size(); ++li) {
-    Level& level = levels_[li];
-    const unsigned cum_after = level.cum_before + level.stride;
-    if (prefix.length() > cum_after) {
-      const std::uint64_t chunk = prefix.slice(level.cum_before, level.stride);
-      const std::size_t index = entry_index(level, block, chunk);
-      if (level.entries[index].child < 0) return true;  // nothing expanded
-      block = static_cast<std::size_t>(level.entries[index].child);
+  for (Level& level : levels_) {
+    if (prefix.length() > level.cum_before + level.stride) {
+      const std::int32_t child = level.child[entry_index(
+          level, block, prefix.slice(level.cum_before, level.stride))];
+      if (child < 0) return false;
+      block = static_cast<std::size_t>(child);
       continue;
     }
-    const unsigned bits_here = prefix.length() - level.cum_before;
-    const std::uint64_t base =
-        bits_here == 0 ? 0
-                       : prefix.slice(level.cum_before, bits_here)
-                             << (level.stride - bits_here);
-    const std::size_t fan = std::size_t{1} << (level.stride - bits_here);
-    const std::uint64_t path_high =
-        level.cum_before == 0
-            ? 0
-            : (prefix.value64() >> (width_ - level.cum_before))
-                  << (width_ - level.cum_before);
-    for (std::size_t j = 0; j < fan; ++j) {
-      Entry& entry = level.entries[entry_index(level, block, base + j)];
-      if (entry.plen != prefix.length() || entry.label == kNoLabel) continue;
-      const std::uint64_t path =
-          path_high | ((base + j) << (width_ - cum_after));
-      entry.label = kNoLabel;
-      entry.plen = 0;
-      ++writes_;
-      // Fallback: longest remaining prefix ending at this same level
-      // (shorter ones live at earlier levels and stay on the lookup path).
-      for (unsigned len = prefix.length(); len > level.cum_before; --len) {
-        if (len == prefix.length()) continue;  // the removed one
-        const std::uint64_t truncated = (path >> (width_ - len)) << (width_ - len);
-        const auto fallback = prefixes_.find({len, truncated});
-        if (fallback != prefixes_.end()) {
-          entry.label = fallback->second;
-          entry.plen = static_cast<std::uint8_t>(len);
-          break;
-        }
+    const Fan fan = fan_of(level, block, prefix);
+    if (!row_has(&level.rows[fan.first * level.row_words], fan.bits)) {
+      return false;
+    }
+    for (std::size_t j = 0; j < fan.count; ++j) {
+      if (row_erase(&level.rows[(fan.first + j) * level.row_words],
+                    fan.bits)) {
+        ++writes_;
       }
     }
+    --prefixes_;
     return true;
   }
-  return true;
+  return false;
 }
 
 std::optional<Label> MultibitTrie::lookup(std::uint64_t key) const {
   std::optional<Label> best;
   std::size_t block = 0;
-  for (const Level& level : levels_) {
-    const std::uint64_t chunk =
-        (key >> (width_ - level.cum_before - level.stride)) &
-        low_mask(level.stride);
-    const Entry& entry = level.entries[entry_index(level, block, chunk)];
-    if (entry.label != kNoLabel) best = entry.label;
-    if (entry.child < 0) break;
-    block = static_cast<std::size_t>(entry.child);
+  for (std::size_t li = 0; li < levels_.size(); ++li) {
+    const Level& level = levels_[li];
+    const std::size_t index = key_entry(level, block, key);
+    const std::uint32_t* row = &level.rows[index * level.row_words];
+    if (row[0] != 0) best = row[1];
+    if (li + 1 == levels_.size() || level.child[index] < 0) break;
+    block = static_cast<std::size_t>(level.child[index]);
   }
   return best;
 }
 
-unsigned MultibitTrie::descend_depth(std::uint64_t key) const {
-  if (compact_valid_) return descend_depth_compact(key);
-  unsigned deepest_cum_after = 0;
+void MultibitTrie::lookup_all(std::uint64_t key, std::vector<Label>& out) const {
+  const std::uint32_t* path[kMaxLevels];  // [0, depth) set before use
+  std::size_t depth = 0;
   std::size_t block = 0;
   for (const Level& level : levels_) {
-    deepest_cum_after = level.cum_before + level.stride;
-    const std::uint64_t chunk =
-        (key >> (width_ - deepest_cum_after)) & low_mask(level.stride);
-    const Entry& entry = level.entries[entry_index(level, block, chunk)];
-    if (entry.child < 0) break;
-    block = static_cast<std::size_t>(entry.child);
+    const std::size_t index = key_entry(level, block, key);
+    path[depth++] = &level.rows[index * level.row_words];
+    if (depth == levels_.size() || level.child[index] < 0) break;
+    block = static_cast<std::size_t>(level.child[index]);
   }
-  return deepest_cum_after;
-}
-
-unsigned MultibitTrie::descend_depth_compact(std::uint64_t key) const {
-  std::size_t node = 0;
-  unsigned deepest_cum_after = 0;
-  for (std::size_t li = 0; li < levels_.size(); ++li) {
-    const Level& level = levels_[li];
-    deepest_cum_after = level.cum_before + level.stride;
-    if (li + 1 == levels_.size()) break;  // last level never descends
-    const SealedNode& sn = compact_levels_[li][node];
-    const auto chunk = static_cast<std::uint32_t>(
-        (key >> (width_ - deepest_cum_after)) & low_mask(level.stride));
-    if (!(sn.child_bits >> chunk & 1U)) break;
-    node = sn.child_base +
-           std::popcount(sn.child_bits & ((std::uint32_t{1} << chunk) - 1));
-  }
-  return deepest_cum_after;
-}
-
-Label MultibitTrie::probe_flat(unsigned len, std::uint64_t value) const {
-  const std::size_t index = detail::tag_find(
-      flat_tags_.data(), flat_mask_, mix_prefix_key(len, value),
-      [&](std::size_t slot) {
-        return flat_lens_[slot] == len && flat_values_[slot] == value;
-      });
-  return index == SIZE_MAX ? kNoLabel : flat_labels_[index];
-}
-
-void MultibitTrie::collect_sealed(std::uint64_t key,
-                                  unsigned deepest_cum_after,
-                                  std::vector<Label>& out) const {
-  for (unsigned len = deepest_cum_after + 1; len-- > 0;) {
-    if (!length_present(len)) continue;
-    const std::uint64_t truncated =
-        len == 0 ? 0 : (key >> (width_ - len)) << (width_ - len);
-    const Label label = probe_flat(len, truncated);
-    if (label != kNoLabel) out.push_back(label);
-  }
-}
-
-void MultibitTrie::collect_matches(std::uint64_t key,
-                                   unsigned deepest_cum_after,
-                                   std::vector<Label>& out) const {
-  // Report every stored prefix of the key whose length falls within a
-  // visited level's range, longest first. (Entry labels alone under-report
-  // when two prefixes end in the same level: controlled prefix expansion
-  // keeps only the longest. Hardware stores a per-node ancestor bitmap; the
-  // prefix table plays that role here.)
-  if (sealed_) {
-    collect_sealed(key, deepest_cum_after, out);
-    return;
-  }
-  for (unsigned len = deepest_cum_after + 1; len-- > 0;) {
-    const std::uint64_t truncated =
-        len == 0 ? 0 : (key >> (width_ - len)) << (width_ - len);
-    const auto it = prefixes_.find({len, truncated});
-    if (it != prefixes_.end()) out.push_back(it->second);
-  }
-}
-
-void MultibitTrie::compact_cell(std::uint64_t key, std::size_t* level_out,
-                                std::uint32_t* cell_out) const {
-  std::size_t node = 0;
-  for (std::size_t li = 0;; ++li) {
-    const Level& level = levels_[li];
-    const auto chunk = static_cast<std::uint32_t>(
-        (key >> (width_ - level.cum_before - level.stride)) &
-        low_mask(level.stride));
-    const auto cell =
-        static_cast<std::uint32_t>((node << level.stride) | chunk);
-    if (li + 1 == levels_.size()) {
-      *level_out = li;
-      *cell_out = cell;
-      return;
-    }
-    const SealedNode& sn = compact_levels_[li][node];
-    if (!(sn.child_bits >> chunk & 1U)) {
-      *level_out = li;
-      *cell_out = cell;
-      return;
-    }
-    node = sn.child_base +
-           std::popcount(sn.child_bits & ((std::uint32_t{1} << chunk) - 1));
-  }
-}
-
-void MultibitTrie::lookup_all(std::uint64_t key, std::vector<Label>& out) const {
-  out.clear();
-  if (compact_valid_ && matches_valid_) {
-    std::size_t li;
-    std::uint32_t cell;
-    compact_cell(key, &li, &cell);
-    const auto& off = match_off_[li];
-    detail::reserve_for_append(out, off[cell + 1] - off[cell]);
-    out.insert(out.end(), match_pool_.begin() + off[cell],
-               match_pool_.begin() + off[cell + 1]);
-    return;
-  }
-  collect_matches(key, descend_depth(key), out);
-}
-
-void MultibitTrie::seal() {
-  if (!sealed_) {
-    rebuild_flat();
-    rebuild_compact();
-    sealed_ = true;
-    return;
-  }
-  // Re-seal after incremental updates: the flat table is already current;
-  // only the compact descent may be stale, and only after enough structural
-  // growth to amortize the rebuild.
-  maybe_rebuild_compact();
-}
-
-void MultibitTrie::rebuild_flat() {
-  present_lengths_ = 0;
-  length64_present_ = false;
-  length_counts_.fill(0);
-  const std::size_t capacity = detail::flat_tag_capacity(prefixes_.size());
-  flat_values_.assign(capacity, 0);
-  flat_lens_.assign(capacity, 0);
-  flat_labels_.assign(capacity, kNoLabel);
-  flat_tags_.assign(capacity, detail::kTagEmpty);
-  flat_mask_ = capacity - 1;
-  flat_live_ = prefixes_.size();
-  flat_tombstones_ = 0;
-  for (const auto& [key, label] : prefixes_) {
-    const auto [len, value] = key;
-    note_length_added(len);
-    const std::uint64_t hash = mix_prefix_key(len, value);
-    const std::size_t index =
-        detail::tag_insert_slot(flat_tags_.data(), flat_mask_, hash);
-    flat_tags_[index] = detail::tag_of(hash);
-    flat_values_[index] = value;
-    flat_lens_[index] = static_cast<std::uint8_t>(len);
-    flat_labels_[index] = label;
-  }
-}
-
-void MultibitTrie::rebuild_compact() {
-  if (!compact_supported_) return;
-  // Seal the mutable Entry blocks into contiguous popcount nodes: a BFS per
-  // level keeps children in chunk order, so a node's k-th set child bit maps
-  // to compact index child_base + k at the next level. Only live (reachable)
-  // blocks get nodes — the compact arrays are usually smaller than the
-  // allocated block count.
-  compact_levels_.assign(levels_.empty() ? 0 : levels_.size() - 1, {});
-  std::vector<std::size_t> current{0};  // legacy block ids, root first
-  std::vector<std::size_t> next;
-  for (std::size_t li = 0; li + 1 < levels_.size(); ++li) {
-    const Level& level = levels_[li];
-    auto& nodes = compact_levels_[li];
-    nodes.reserve(current.size());
-    next.clear();
-    for (const std::size_t block : current) {
-      SealedNode node;
-      node.child_base = static_cast<std::uint32_t>(next.size());
-      const std::size_t fan = std::size_t{1} << level.stride;
-      for (std::size_t chunk = 0; chunk < fan; ++chunk) {
-        const Entry& entry = level.entries[entry_index(level, block, chunk)];
-        if (entry.child < 0) continue;
-        node.child_bits |= std::uint32_t{1} << chunk;
-        next.push_back(static_cast<std::size_t>(entry.child));
-      }
-      nodes.push_back(node);
-    }
-    current.swap(next);
-  }
-  compact_blocks_ = total_blocks();
-  compact_valid_ = true;
-  rebuild_matches();
-}
-
-void MultibitTrie::rebuild_matches() {
-  // The path to a terminal cell IS the key prefix every per-length probe
-  // would truncate to, so each reachable cell's full match list can be
-  // materialized up front. BFS in the same (node, chunk) order as
-  // rebuild_compact, so cell indices line up with the compact descent.
-  match_off_.assign(levels_.size(), {});
-  match_pool_.clear();
-  std::vector<std::size_t> current{0};       // legacy block ids
-  std::vector<std::uint64_t> cur_prefix{0};  // path bits (cum_before of level)
-  std::vector<std::size_t> next;
-  std::vector<std::uint64_t> next_prefix;
-  for (std::size_t li = 0; li < levels_.size(); ++li) {
-    const Level& level = levels_[li];
-    const unsigned cum_after = level.cum_before + level.stride;
-    const std::size_t fan = std::size_t{1} << level.stride;
-    const bool last = li + 1 == levels_.size();
-    auto& off = match_off_[li];
-    off.clear();
-    off.reserve(current.size() * fan + 1);
-    off.push_back(static_cast<std::uint32_t>(match_pool_.size()));
-    next.clear();
-    next_prefix.clear();
-    for (std::size_t n = 0; n < current.size(); ++n) {
-      const std::size_t block = current[n];
-      for (std::size_t chunk = 0; chunk < fan; ++chunk) {
-        const std::uint64_t cell_prefix = (cur_prefix[n] << level.stride) | chunk;
-        const Entry& entry = level.entries[entry_index(level, block, chunk)];
-        if (last || entry.child < 0) {
-          // Descents can end here; precompute the list they'd collect.
-          collect_sealed(cell_prefix << (width_ - cum_after), cum_after,
-                         match_pool_);
-        } else {
-          next.push_back(static_cast<std::size_t>(entry.child));
-          next_prefix.push_back(cell_prefix);
-        }
-        off.push_back(static_cast<std::uint32_t>(match_pool_.size()));
-      }
-    }
-    current.swap(next);
-    cur_prefix.swap(next_prefix);
-  }
-  std::size_t bytes = match_pool_.size() * sizeof(Label);
-  for (const auto& off : match_off_) bytes += off.size() * sizeof(std::uint32_t);
-  for (const auto& nodes : compact_levels_) {
-    bytes += nodes.size() * sizeof(SealedNode);
-  }
-  compact_resident_ = bytes <= 32768;
-  matches_valid_ = true;
-}
-
-void MultibitTrie::maybe_rebuild_compact() {
-  if (compact_valid_ || !compact_supported_) return;
-  // Rebuild only after the structure grew by ~12% (min 16 blocks) since the
-  // last seal: the rebuild is O(blocks), so amortized cost per allocated
-  // block stays O(1) and per-publish seal() latency stays flat. Until then
-  // descend_depth falls back to the legacy Entry walk — correct, just the
-  // pre-compact speed.
-  const std::size_t blocks = total_blocks();
-  if (blocks >= compact_blocks_ +
-                    std::max<std::size_t>(16, compact_blocks_ / 8)) {
-    rebuild_compact();
-  }
-}
-
-void MultibitTrie::note_length_added(unsigned len) {
-  if (length_counts_[len]++ != 0) return;
-  if (len < 64) {
-    present_lengths_ |= std::uint64_t{1} << len;
-  } else {
-    length64_present_ = true;
-  }
-}
-
-void MultibitTrie::note_length_removed(unsigned len) {
-  if (--length_counts_[len] != 0) return;
-  if (len < 64) {
-    present_lengths_ &= ~(std::uint64_t{1} << len);
-  } else {
-    length64_present_ = false;
-  }
-}
-
-std::size_t MultibitTrie::find_flat_slot(unsigned len,
-                                         std::uint64_t value) const {
-  return detail::tag_find(flat_tags_.data(), flat_mask_,
-                          mix_prefix_key(len, value), [&](std::size_t slot) {
-                            return flat_lens_[slot] == len &&
-                                   flat_values_[slot] == value;
-                          });
-}
-
-void MultibitTrie::flat_insert(unsigned len, std::uint64_t value, Label label) {
-  // The rebuild reads prefixes_, which already contains the new prefix.
-  if (detail::flat_needs_rebuild(flat_live_ + flat_tombstones_,
-                                 flat_values_.size())) {
-    rebuild_flat();
-    return;
-  }
-  const std::uint64_t hash = mix_prefix_key(len, value);
-  const std::size_t index =
-      detail::tag_insert_slot(flat_tags_.data(), flat_mask_, hash);
-  if (flat_tags_[index] == detail::kTagDeleted) --flat_tombstones_;
-  flat_tags_[index] = detail::tag_of(hash);
-  flat_values_[index] = value;
-  flat_lens_[index] = static_cast<std::uint8_t>(len);
-  flat_labels_[index] = label;
-  ++flat_live_;
-  note_length_added(len);
-}
-
-void MultibitTrie::flat_erase(unsigned len, std::uint64_t value) {
-  const std::size_t index = find_flat_slot(len, value);
-  if (index == SIZE_MAX) return;  // unreachable: caller found it in the map
-  flat_tags_[index] = detail::kTagDeleted;
-  flat_labels_[index] = kNoLabel;
-  --flat_live_;
-  ++flat_tombstones_;
-  note_length_removed(len);
+  emit_rows(path, depth, out);
 }
 
 void MultibitTrie::lookup_all_batch(std::span<const std::uint64_t> keys,
@@ -557,125 +283,44 @@ void MultibitTrie::lookup_all_batch(std::span<const std::uint64_t> keys,
     throw std::invalid_argument("lookup_all_batch: outs span too small");
   }
   constexpr std::size_t kLanes = 8;  // keys descended in lock-step per window
-  const bool use_lists = compact_valid_ && matches_valid_;
-  if (use_lists && compact_resident_) {
-    // The whole sealed structure is cache-resident: straight-line per-key
-    // descent + one contiguous copy beats the lockstep/prefetch machinery.
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      std::size_t li;
-      std::uint32_t cell;
-      compact_cell(keys[i], &li, &cell);
-      const auto& off = match_off_[li];
-      auto& out = *outs[i];
-      out.clear();
-      detail::reserve_for_append(out, off[cell + 1] - off[cell]);
-      out.insert(out.end(), match_pool_.begin() + off[cell],
-                 match_pool_.begin() + off[cell + 1]);
-    }
-    return;
-  }
   for (std::size_t base = 0; base < keys.size(); base += kLanes) {
     const std::size_t lanes = std::min(kLanes, keys.size() - base);
-    unsigned deepest[kLanes] = {};
-    std::size_t term_level[kLanes] = {};
-    std::uint32_t term_cell[kLanes] = {};
-    if (compact_valid_) {
-      // Popcount descent over the sealed 8-byte nodes: a whole level's lane
-      // window is a handful of cache lines, and the child index is one
-      // AND + popcount instead of a strided Entry-array gather.
-      std::size_t node[kLanes] = {};
-      bool active[kLanes];
-      for (std::size_t lane = 0; lane < lanes; ++lane) active[lane] = true;
-      for (std::size_t li = 0; li < levels_.size(); ++li) {
-        const Level& level = levels_[li];
-        const unsigned cum_after = level.cum_before + level.stride;
-        const bool last = li + 1 == levels_.size();
-        const SealedNode* nodes = last ? nullptr : compact_levels_[li].data();
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          if (!active[lane]) continue;
-          deepest[lane] = cum_after;
-          const auto chunk = static_cast<std::uint32_t>(
-              (keys[base + lane] >> (width_ - cum_after)) &
-              low_mask(level.stride));
-          if (last) {
-            term_level[lane] = li;
-            term_cell[lane] = static_cast<std::uint32_t>(
-                (node[lane] << level.stride) | chunk);
-            continue;
-          }
-          const SealedNode& sn = nodes[node[lane]];
-          if (!(sn.child_bits >> chunk & 1U)) {
-            term_level[lane] = li;
-            term_cell[lane] = static_cast<std::uint32_t>(
-                (node[lane] << level.stride) | chunk);
-            active[lane] = false;
-            continue;
-          }
-          node[lane] =
-              sn.child_base +
-              std::popcount(sn.child_bits & ((std::uint32_t{1} << chunk) - 1));
-          if (li + 2 < levels_.size()) {
-            __builtin_prefetch(compact_levels_[li + 1].data() + node[lane]);
-          }
-        }
-        if (last) break;
+    // path[lane][0, depth[lane]) is written before it is read; the rest
+    // stays unset, since clearing 4 KB per window would cost more than the
+    // window's lookups.
+    const std::uint32_t* path[kLanes][kMaxLevels];
+    std::size_t depth[kLanes] = {};
+    std::size_t block[kLanes] = {};
+    std::size_t index[kLanes] = {};
+    // Level-synchronous descent: compute and prefetch every live lane's
+    // entry for this level before any lane reads it, hiding the dependent-
+    // load latency one key at a time cannot. Bit i of `live`: lane i has a
+    // child block to descend into.
+    unsigned live = (1U << lanes) - 1;
+    for (std::size_t li = 0; live != 0; ++li) {
+      const Level& level = levels_[li];
+      const bool last = li + 1 == levels_.size();
+      for (unsigned m = live; m != 0; m &= m - 1) {
+        const auto lane = static_cast<std::size_t>(std::countr_zero(m));
+        index[lane] = key_entry(level, block[lane], keys[base + lane]);
+        path[lane][li] = &level.rows[index[lane] * level.row_words];
+        depth[lane] = li + 1;
+        __builtin_prefetch(path[lane][li]);
+        if (!last) __builtin_prefetch(&level.child[index[lane]]);
       }
-      if (use_lists) {
-        // One precomputed contiguous copy per lane instead of per-length
-        // flat-table probes: prefetch every lane's CSR row, then emit.
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          __builtin_prefetch(match_off_[term_level[lane]].data() +
-                             term_cell[lane]);
-        }
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          const auto& off = match_off_[term_level[lane]];
-          __builtin_prefetch(match_pool_.data() + off[term_cell[lane]]);
-        }
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          const auto& off = match_off_[term_level[lane]];
-          auto& out = *outs[base + lane];
-          out.clear();
-          detail::reserve_for_append(
-              out, off[term_cell[lane] + 1] - off[term_cell[lane]]);
-          out.insert(out.end(), match_pool_.begin() + off[term_cell[lane]],
-                     match_pool_.begin() + off[term_cell[lane] + 1]);
-        }
-        continue;
-      }
-    } else {
-      std::size_t block[kLanes] = {};
-      std::size_t index[kLanes] = {};
-      bool active[kLanes];
-      for (std::size_t lane = 0; lane < lanes; ++lane) active[lane] = true;
-      // Level-synchronous descent: compute and prefetch every lane's entry
-      // for this level before any lane reads it, hiding the dependent-load
-      // latency one packet at a time cannot.
-      for (const Level& level : levels_) {
-        const unsigned cum_after = level.cum_before + level.stride;
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          if (!active[lane]) continue;
-          const std::uint64_t chunk =
-              (keys[base + lane] >> (width_ - cum_after)) &
-              low_mask(level.stride);
-          index[lane] = entry_index(level, block[lane], chunk);
-          __builtin_prefetch(level.entries.data() + index[lane]);
-        }
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          if (!active[lane]) continue;
-          const Entry& entry = level.entries[index[lane]];
-          deepest[lane] = cum_after;
-          if (entry.child < 0) {
-            active[lane] = false;
-          } else {
-            block[lane] = static_cast<std::size_t>(entry.child);
-          }
+      if (last) break;
+      for (unsigned m = live; m != 0; m &= m - 1) {
+        const auto lane = static_cast<std::size_t>(std::countr_zero(m));
+        const std::int32_t child = level.child[index[lane]];
+        if (child < 0) {
+          live &= ~(1U << lane);
+        } else {
+          block[lane] = static_cast<std::size_t>(child);
         }
       }
     }
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      auto& out = *outs[base + lane];
-      out.clear();
-      collect_matches(keys[base + lane], deepest[lane], out);
+      emit_rows(path[lane], depth[lane], *outs[base + lane]);
     }
   }
 }
@@ -684,10 +329,13 @@ TrieLevelStats MultibitTrie::level_stats(std::size_t level_index) const {
   const Level& level = levels_.at(level_index);
   TrieLevelStats stats;
   stats.blocks = level.blocks;
-  stats.allocated_entries = level.entries.size();
-  for (const Entry& entry : level.entries) {
-    if (entry.label != kNoLabel || entry.child >= 0) ++stats.stored_nodes;
-    if (entry.label != kNoLabel) ++stats.labelled_nodes;
+  stats.allocated_entries = level.blocks << level.stride;
+  for (std::size_t e = 0; e < stats.allocated_entries; ++e) {
+    const bool labelled = level.rows[e * level.row_words] != 0;
+    if (labelled || (!level.child.empty() && level.child[e] >= 0)) {
+      ++stats.stored_nodes;
+    }
+    if (labelled) ++stats.labelled_nodes;
   }
   return stats;
 }

@@ -293,6 +293,31 @@ TEST(BatchProbes, IndexCalculatorRemoveAllocationFree) {
   EXPECT_EQ(g_allocations, before);
 }
 
+TEST(BatchProbes, IndexCalculatorChurnAtHalfFullRarelyRehashes) {
+  // The stage and the final table hold exactly half their capacity in live
+  // keys, so every add after a remove trips the 50% rebuild rule. Growing
+  // once and then purging in place at most every capacity/8 adds keeps 1,000
+  // remove/add cycles to a handful of table rebuilds (each one allocates),
+  // not one O(capacity) rehash per cycle.
+  IndexCalculator calc(2);
+  constexpr std::uint32_t kLive = 512;  // half of a 1024-slot table
+  for (std::uint32_t rule = 0; rule < kLive; ++rule) {
+    calc.add_rule(std::array<Label, 2>{rule, 7}, rule);
+  }
+  const std::size_t before = g_allocations;
+  for (std::uint32_t cycle = 0; cycle < 1000; ++cycle) {
+    calc.remove_rule(std::array<Label, 2>{cycle, 7}, cycle);
+    calc.add_rule(std::array<Label, 2>{kLive + cycle, 7}, kLive + cycle);
+  }
+  EXPECT_LE(g_allocations - before, 24U);  // 12 measured; 6,000 without hysteresis
+  std::vector<std::uint32_t> out;
+  calc.query({{kLive + 999}, {7}}, out);
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{kLive + 999}));
+  out.clear();
+  calc.query({{999}, {7}}, out);
+  EXPECT_TRUE(out.empty());
+}
+
 TEST(BatchProbes, RangeFieldLookupTableBatchMatchesScalar) {
   // End-to-end through LookupTable with an RM field (the app-level tests
   // only cover EM/LPM fields): rules on src-port ranges + dst exact.

@@ -1,11 +1,14 @@
 // Multi-bit trie tests: LPM correctness against the unibit-trie oracle and
-// brute force, lookup_all completeness, removal fallback, stride sweeps, and
-// the node/memory accounting invariants the figures depend on.
+// brute force, lookup_all / lookup_all_batch completeness, removal fallback,
+// stride sweeps, and the node/memory accounting invariants the figures
+// depend on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
+#include <string>
 
 #include "classifier/unibit_trie.hpp"
 #include "core/multibit_trie.hpp"
@@ -100,6 +103,26 @@ TEST(MultibitTrie, RemoveWithinLevelFallsBackToSameLevelPrefix) {
   trie.insert(Prefix::from_value(0b1010100000000000, 5, 16), 2);
   EXPECT_TRUE(trie.remove(Prefix::from_value(0b1010100000000000, 5, 16)));
   EXPECT_EQ(trie.lookup(0b1010100000000000), 1U);
+}
+
+TEST(MultibitTrie, RemoveUnderDefaultRouteFallsBackToIt) {
+  // The /0 ends in level 1 like the /3 does, so every entry the /3 covered
+  // must fall back to the /0's label, exactly as in a trie that never held
+  // the /3.
+  auto trie = MultibitTrie::partition16();
+  trie.insert(Prefix::from_value(0, 0, 16), 7);
+  trie.insert(Prefix::from_value(0xE000, 3, 16), 9);
+  EXPECT_EQ(trie.lookup(0xE123), 9U);
+  EXPECT_TRUE(trie.remove(Prefix::from_value(0xE000, 3, 16)));
+  EXPECT_EQ(trie.lookup(0xE123), 7U);
+  std::vector<Label> labels;
+  trie.lookup_all(0xE123, labels);
+  EXPECT_EQ(labels, (std::vector<Label>{7}));
+  auto fresh = MultibitTrie::partition16();
+  fresh.insert(Prefix::from_value(0, 0, 16), 7);
+  EXPECT_EQ(trie.level_stats(0).labelled_nodes, 32U);
+  EXPECT_EQ(trie.level_stats(0).labelled_nodes,
+            fresh.level_stats(0).labelled_nodes);
 }
 
 TEST(MultibitTrie, NodeAccountingBasics) {
@@ -212,6 +235,36 @@ TEST(MultibitTrie, UniformLayoutsTakeWorstCase) {
 // ---- randomized equivalence against the unibit-trie oracle, across stride
 // configurations (the stride ablation surface) ----
 
+/// The oracle's full matching set for `key`, longest first.
+std::vector<Label> oracle_all(const UnibitTrie& oracle, std::uint64_t key) {
+  auto all = oracle.lookup_all(key);  // shortest first
+  std::reverse(all.begin(), all.end());
+  return all;
+}
+
+/// lookup_all_batch over `keys` in batches of 1, 7, 37 and 256 keys equals
+/// the oracle's matching sets. Outputs start out holding stale labels, as
+/// reused search-context slots do.
+void expect_batches_match_oracle(const MultibitTrie& mbt,
+                                 const UnibitTrie& oracle,
+                                 const std::vector<std::uint64_t>& keys,
+                                 const std::string& where) {
+  for (const std::size_t batch : {1U, 7U, 37U, 256U}) {
+    for (std::size_t base = 0; base < keys.size(); base += batch) {
+      const std::size_t n = std::min(batch, keys.size() - base);
+      std::vector<LabelList> lists(n, LabelList{12345, 67890});
+      std::vector<LabelList*> outs;
+      for (auto& list : lists) outs.push_back(&list);
+      mbt.lookup_all_batch(
+          std::span<const std::uint64_t>(keys).subspan(base, n), outs);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(lists[i], oracle_all(oracle, keys[base + i]))
+            << where << " batch " << batch << " key " << keys[base + i];
+      }
+    }
+  }
+}
+
 struct StrideCase {
   const char* name;
   std::vector<unsigned> strides;
@@ -240,14 +293,16 @@ TEST_P(MbtOracle, MatchesUnibitOnRandomPrefixSets) {
       EXPECT_EQ(mbt.lookup(key), oracle.lookup(key)) << "key " << key;
     }
     // lookup_all equals the oracle's full matching set, longest first.
+    std::vector<std::uint64_t> keys;
     for (int probe = 0; probe < 300; ++probe) {
       const std::uint64_t key = rng.below(0x10000);
       std::vector<Label> mbt_all;
       mbt.lookup_all(key, mbt_all);
-      auto oracle_all = oracle.lookup_all(key);  // shortest first
-      std::reverse(oracle_all.begin(), oracle_all.end());
-      EXPECT_EQ(mbt_all, oracle_all) << "key " << key;
+      EXPECT_EQ(mbt_all, oracle_all(oracle, key)) << "key " << key;
+      keys.push_back(key);
     }
+    expect_batches_match_oracle(mbt, oracle, keys,
+                                "trial " + std::to_string(trial));
   }
 }
 
@@ -282,10 +337,26 @@ TEST_P(MbtOracle, RemovalKeepsOracleEquivalence) {
       }
     }
     if (step % 20 == 0) {
+      std::vector<std::uint64_t> keys;
       for (int probe = 0; probe < 200; ++probe) {
         const std::uint64_t key = rng.below(0x10000);
         EXPECT_EQ(mbt.lookup(key), oracle.lookup(key))
             << "step " << step << " key " << key;
+        keys.push_back(key);
+      }
+      expect_batches_match_oracle(mbt, oracle, keys,
+                                  "step " + std::to_string(step));
+      // Removals leave every entry labelled exactly as a trie built from
+      // the live set alone (blocks are never freed, so only labels compare).
+      MultibitTrie fresh(16, GetParam().strides);
+      for (const Prefix& prefix : live) {
+        fresh.insert(prefix, labels.at({prefix.length(), prefix.value64()}));
+      }
+      EXPECT_EQ(mbt.prefix_count(), fresh.prefix_count()) << "step " << step;
+      for (std::size_t level = 0; level < mbt.level_count(); ++level) {
+        EXPECT_EQ(mbt.level_stats(level).labelled_nodes,
+                  fresh.level_stats(level).labelled_nodes)
+            << "step " << step << " level " << level;
       }
     }
   }
@@ -297,7 +368,8 @@ INSTANTIATE_TEST_SUITE_P(
                       StrideCase{"two_level_8_8", {8, 8}},
                       StrideCase{"four_level_4x4", {4, 4, 4, 4}},
                       StrideCase{"uneven_6_5_5", {6, 5, 5}},
-                      StrideCase{"single_level_16", {16}}),
+                      StrideCase{"single_level_16", {16}},
+                      StrideCase{"eight_level_2x8", {2, 2, 2, 2, 2, 2, 2, 2}}),
     [](const ::testing::TestParamInfo<StrideCase>& info) {
       return info.param.name;
     });
